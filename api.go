@@ -34,30 +34,31 @@
 //   - Sweep layer: Sweep lowers the full {param set × TPU spec × pod
 //     size × workload} cross-product on a worker pool and emits
 //     deterministic records; SweepDiff classifies regressions against
-//     a committed baseline — the CI perf gate (crossbench -sweep /
+//     a committed baseline — the CI perf gate (crossbench sweep
 //     -compare).
 //   - Host perf layer: HostBench measures the functional CPU kernels'
 //     real ns/op and steady-state allocs/op at fixed sizes;
 //     HostBenchDiff gates wall time against a generous threshold and
-//     allocations strictly at zero drift (crossbench -hostbench,
+//     allocations strictly at zero drift (crossbench hostbench,
 //     BENCH_host.json).
 //   - Serving layer: Serve runs the discrete-event serving simulator —
 //     an open-loop arrival process over a workload mix, dynamic
 //     batching, and fleet dispatch across M pods — and returns one
 //     deterministic record of offered load, achieved throughput, pod
-//     utilization, queue depth, and tail latency (crossbench -serve).
+//     utilization, queue depth, and tail latency (crossbench serve).
 //     FaultConfig adds the deterministic fault model (pod
 //     crash/recover, stragglers, batch errors) and recovery machinery
 //     (deadlines, retries, hedging, load shedding, heartbeat
 //     detection); ServeChaos sweeps goodput across a crash-MTBF grid
-//     (crossbench -serve -faults, -chaos; DESIGN.md §16).
+//     (crossbench serve with any fault flag, crossbench chaos;
+//     DESIGN.md §16).
 //   - Calibration layer: Calib pairs every measurable kernel latency
 //     (host wall clock plus the paper's published TPU/GPU figures)
 //     with the simulator's prediction for the same work, fits the
 //     model's free constants (Calibration) by deterministic least
 //     squares, and reports per-kernel model error; CalibDiff gates
 //     model drift against the committed BENCH_calib.json (crossbench
-//     -calib).
+//     calib).
 //
 // See DESIGN.md (§ "Schedule IR & Targets") for the system inventory
 // and EXPERIMENTS.md for the reproduction results.
@@ -502,18 +503,11 @@ type SweepDiffResult = sweep.DiffResult
 // one).
 func Sweep(cfg SweepConfig) ([]SweepRecord, error) { return sweep.Run(cfg) }
 
-// Gated sweep metrics (SweepDiffResult.FilterMetric, crossbench
-// -metric): the serial total and the overlap-aware makespan.
-const (
-	SweepMetricTotal      = sweep.MetricTotal
-	SweepMetricOverlapped = sweep.MetricOverlapped
-)
-
 // SweepDiff compares two sweeps record-by-record and classifies each
 // latency change — total_s always, overlapped_s when both sides carry
 // the column — against the fractional threshold (0.005 = 0.5%, the CI
 // gate's default). The result's HasRegressions is the gate condition
-// crossbench -compare exits non-zero on.
+// crossbench sweep -compare exits non-zero on.
 func SweepDiff(old, new []SweepRecord, threshold float64) SweepDiffResult {
 	return sweep.Diff(old, new, threshold)
 }

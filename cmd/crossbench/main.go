@@ -1,101 +1,264 @@
 // Command crossbench regenerates the paper's evaluation section: every
 // table and figure of §V, with paper-reported values printed next to
 // the reproduction's measurements. It is also the repo's perf oracle:
-// -sweep lowers the full {param set × device × core count × workload}
+// sweep lowers the full {param set × device × core count × workload}
 // cross-product — every registered device, TPU generations and GPU
-// parts alike — in parallel, and -compare diffs a fresh sweep against a
-// committed baseline, exiting non-zero on regression (the CI gate).
-// -versus prices named targets ("TPUv6e-16,H100-8") head-to-head on
-// every workload: the cross-hardware comparison.
+// parts alike — in parallel, and sweep -compare diffs the fresh sweep
+// against a committed baseline, exiting non-zero on regression (the CI
+// gate). versus prices named targets ("TPUv6e-16,H100-8") head-to-head
+// on every workload: the cross-hardware comparison.
 //
 // Usage:
 //
-//	crossbench                 # run everything (paper order)
-//	crossbench -list           # list experiment identifiers
-//	crossbench -experiment id  # run one experiment ("Table V", "fig11b", …)
-//	crossbench -scaling        # core-count scaling sweep (1/2/4/8 cores)
-//	crossbench -scaling -device TPUv5p        # any registered device (TPU or GPU)
-//	crossbench -versus TPUv6e-16,H100-8 -set D        # cross-hardware head-to-head
-//	crossbench -versus TPUv6e-16,H100-8 -set D -json  # machine-readable comparison
-//	crossbench -versus A100-80GB-8,H100-8 -out versus.json
-//	crossbench -sweep -parallel 8 -json       # full sweep, machine-readable
-//	crossbench -compare BENCH_baseline.json   # fresh sweep vs baseline; exit 1 on regression
-//	crossbench -compare BENCH_baseline.json -threshold 0.01
-//	crossbench -compare BENCH_baseline.json -metric overlapped  # gate only the overlap-aware column
-//	crossbench -compare BENCH_baseline.json -out sweep.json  # keep the fresh sweep too
-//	crossbench -hostbench                     # measure host kernels (real ns/op + allocs/op)
-//	crossbench -hostbench -compare BENCH_host.json -threshold 0.25  # wall-clock gate
-//	crossbench -hostbench -compare BENCH_host.json -out hostbench.json
-//	crossbench -calib                         # calibration: fit the model's free constants to ground truth
-//	crossbench -calib -compare BENCH_calib.json -threshold 0.10     # model-drift gate
-//	crossbench -calib -compare BENCH_calib.json -out calib.json
-//	crossbench -calib -repeats 9 -parallel 8  # more timing samples, wider fitter pool
-//	crossbench -refresh-baselines             # rewrite BENCH_baseline/BENCH_host/BENCH_calib .json in one run
-//	crossbench -serve                         # serving simulator: 4-pod fleet at 70% capacity
-//	crossbench -serve -rate 2000 -pods 8 -policy jsq -json
-//	crossbench -serve -device TPUv4 -set A -batch 8 -delay 0.001 -horizon 0.5
-//	crossbench -serve -mix "HE-Mult=0.6,Rotate=0.3,MNIST=0.1" -seed 42
-//	crossbench -serve -overlap                # price batches at the overlap-aware makespan
-//	crossbench -serve -faults -mtbf 0.05 -retries 3 -hedge   # fault injection + recovery
-//	crossbench -serve -faults -deadline 0.02 -shed 32        # deadlines + load shedding
-//	crossbench -serve -faults -straggler 8 -fault-seed 9     # transient stragglers
-//	crossbench -serve -fleet "TPUv6e:1:4+H100:1:2"           # heterogeneous fleet + cost section
-//	crossbench -serve -fleet "TPUv6e:1:4+H100:1:2" -policy cheapest
-//	crossbench -serve -trace arrivals.csv     # replay a recorded arrival trace
-//	crossbench -serve -stats streaming -rate 50000 -horizon 30  # O(1)-memory long horizon
-//	crossbench -serve -classes "interactive:10:0.02,batch:0" -mix "HE-Mult=0.6@interactive,MNIST=0.4@batch"
-//	crossbench -chaos                         # goodput vs crash-MTBF grid (availability curve)
-//	crossbench -chaos -retries 3 -hedge -deadline 0.05 -json
-//	crossbench -plan -slo 0.02                # capacity plan: req/s/$ ladder of the base device
-//	crossbench -plan -slo 0.02 -fleets "TPUv6e:1:4,TPUv6e:1:2+H100:1:1"
-//	crossbench -json [...]     # machine-readable output (any mode)
+//	crossbench                     # run everything (paper order)
+//	crossbench list                # list experiment identifiers
+//	crossbench experiment ID       # run one experiment ("Table V", "fig11b", …)
+//	crossbench scaling             # core-count scaling sweep (1/2/4/8 cores)
+//	crossbench scaling -device TPUv5p                 # any registered device (TPU or GPU)
+//	crossbench versus TPUv6e-16,H100-8                # cross-hardware head-to-head (Set D)
+//	crossbench versus -set B A100-80GB-8,H100-8 -out versus.json
+//	crossbench sweep -parallel 8 -json                # full sweep, machine-readable
+//	crossbench sweep -compare BENCH_baseline.json     # fresh sweep vs baseline; exit 1 on regression
+//	crossbench sweep -compare BENCH_baseline.json -threshold 0.01 -out sweep.json
+//	crossbench hostbench                              # measure host kernels (real ns/op + allocs/op)
+//	crossbench hostbench -compare BENCH_host.json -out hostbench.json  # wall-clock gate (25%)
+//	crossbench calib                                  # fit the model's free constants to ground truth
+//	crossbench calib -compare BENCH_calib.json -out calib.json         # model-drift gate (10%)
+//	crossbench calib -repeats 9 -parallel 8           # more timing samples, wider fitter pool
+//	crossbench refresh-baselines   # rewrite BENCH_baseline/BENCH_host/BENCH_calib .json in one run
+//	crossbench serve               # serving simulator: 4-pod fleet at 70% capacity
+//	crossbench serve -rate 2000 -pods 8 -policy jsq -json
+//	crossbench serve -device TPUv4 -set A -batch 8 -delay 0.001 -horizon 0.5
+//	crossbench serve -mix "HE-Mult=0.6,Rotate=0.3,MNIST=0.1" -seed 42
+//	crossbench serve -overlap                         # price batches at the overlap-aware makespan
+//	crossbench serve -mtbf 0.05 -retries 3 -hedge     # any fault flag turns fault injection on
+//	crossbench serve -deadline 0.02 -shed 32          # deadlines + load shedding
+//	crossbench serve -fleet "TPUv6e:1:4+H100:1:2" -policy cheapest  # heterogeneous fleet + cost section
+//	crossbench serve -trace arrivals.csv              # replay a recorded arrival trace
+//	crossbench serve -stats streaming -rate 50000 -horizon 30  # O(1)-memory long horizon
+//	crossbench serve -classes "interactive:10:0.02,batch:0" -mix "HE-Mult=0.6@interactive,MNIST=0.4@batch"
+//	crossbench chaos               # goodput vs crash-MTBF grid (availability curve)
+//	crossbench chaos -retries 3 -hedge -deadline 0.05 -json
+//	crossbench plan -slo 0.02      # capacity plan: req/s/$ ladder of the base device
+//	crossbench plan -slo 0.02 -fleets "TPUv6e:1:4,TPUv6e:1:2+H100:1:1"
+//	crossbench prof -device TPUv6e -set D -op mult -cores 4  # one operator's lowered Schedule
+//	crossbench ntt -device TPUv6e -logn 14           # radix-2 vs 4-step vs MAT NTT batch table
 //
-// With -json the tool emits JSON instead of the formatted tables:
-// -list prints a string array of identifiers; -sweep prints the sweep
-// records (deterministic and stably ordered — bit-identical at every
-// -parallel value, so the output is committable as a baseline);
-// -compare prints the classified diff; every other mode prints Report
-// objects ({"ID","Title","Body","Notes"}).
+// Every subcommand takes only its own flags (crossbench SUBCOMMAND -h
+// lists them). With -json a subcommand emits JSON instead of the
+// formatted text: list prints a string array of identifiers; sweep
+// prints the sweep records (deterministic and stably ordered —
+// bit-identical at every -parallel value, so the output is committable
+// as a baseline); -compare prints the classified diff; the experiment
+// subcommands print Report objects ({"ID","Title","Body","Notes"}).
 //
-// Run with: go run ./cmd/crossbench [flags]
+// Run with: go run ./cmd/crossbench [SUBCOMMAND] [flags]
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 
 	"cross"
+	icross "cross/internal/cross"
 	"cross/internal/harness"
 )
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// An action runs a subcommand once its flags are parsed; args holds
+// the positional arguments.
+type action func(args []string, w io.Writer) error
+
+// A command registers its flags on a fresh FlagSet and returns the
+// action that reads them. arg names its one positional argument; a
+// command with an empty arg takes none.
+type command struct {
+	arg   string
+	setup func(fs *flag.FlagSet) action
+}
+
+// commands maps each subcommand to its definition; "" is the bare
+// crossbench invocation.
+var commands = map[string]command{
+	"":                  {setup: allCmd},
+	"list":              {setup: listCmd},
+	"experiment":        {arg: "ID", setup: experimentCmd},
+	"scaling":           {setup: scalingCmd},
+	"versus":            {arg: "TARGETS", setup: versusCmd},
+	"sweep":             {setup: sweepCmd},
+	"hostbench":         {setup: hostbenchCmd},
+	"calib":             {setup: calibCmd},
+	"refresh-baselines": {setup: refreshCmd},
+	"serve":             {setup: serveCmd},
+	"chaos":             {setup: chaosCmd},
+	"plan":              {setup: planCmd},
+	"prof":              {setup: profCmd},
+	"ntt":               {setup: nttCmd},
+}
+
+// errRegressed fails a -compare gate; the diff itself is on stdout.
+var errRegressed = errors.New("regression against the baseline")
+
+// run dispatches one crossbench invocation and returns its exit code:
+// 0 on success, 1 when the subcommand fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	name := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
+	}
+	var names []string
+	for n := range commands {
+		if n != "" {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	c, ok := commands[name]
+	if !ok {
+		fmt.Fprintf(stderr, "crossbench: unknown subcommand %q (have %s)\n", name, strings.Join(names, ", "))
+		return 2
+	}
+	fs := flag.NewFlagSet(strings.TrimSpace("crossbench "+name+" "+c.arg), flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if name == "" {
+		fs.Usage = func() {
+			fmt.Fprintf(stderr, "usage: crossbench [-json] | crossbench SUBCOMMAND [flags]\nsubcommands: %s\n", strings.Join(names, ", "))
+			fs.PrintDefaults()
+		}
+	}
+	act := c.setup(fs)
+	pos, err := parse(fs, args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2 // the flag package has already printed the problem and the usage
+	}
+	want := 0
+	if c.arg != "" {
+		want = 1
+	}
+	if len(pos) != want {
+		fmt.Fprintf(stderr, "%s: want %d positional argument(s), got %q\n", fs.Name(), want, pos)
+		return 2
+	}
+	if err := act(pos, stdout); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
+		return 1
+	}
+	return 0
+}
+
+// parse parses args into fs, letting flags follow positional arguments
+// ("versus TPUv6e-16,H100-8 -json"), and returns the positionals.
+func parse(fs *flag.FlagSet, args []string) ([]string, error) {
+	var pos []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() == 0 {
+			return pos, nil
+		}
+		pos = append(pos, fs.Arg(0))
+		args = fs.Args()[1:]
 	}
 }
 
-// readBaseline loads a committed sweep (BENCH_baseline.json).
-func readBaseline(path string) ([]cross.SweepRecord, error) {
+// output is the record emitter every reporting subcommand shares: -json
+// selects JSON over the text rendering, and -out (where registered)
+// also writes the fresh records to a file, so CI keeps the artifact
+// without running the measurement twice.
+type output struct {
+	json bool
+	out  string
+}
+
+func outputFlags(fs *flag.FlagSet, withOut bool) *output {
+	o := &output{}
+	fs.BoolVar(&o.json, "json", false, "emit machine-readable JSON instead of formatted text")
+	if withOut {
+		fs.StringVar(&o.out, "out", "", "also write the fresh records JSON to this file")
+	}
+	return o
+}
+
+// save writes v to the -out file, if one was given.
+func (o *output) save(v any) error {
+	if o.out == "" {
+		return nil
+	}
+	return writeJSONFile(o.out, v)
+}
+
+// print writes v to w: as JSON under -json, otherwise as text.
+func (o *output) print(w io.Writer, v any, text string) error {
+	if o.json {
+		return writeJSON(w, v)
+	}
+	_, err := io.WriteString(w, text)
+	return err
+}
+
+// emit saves v to -out and prints it.
+func (o *output) emit(w io.Writer, v any, text string) error {
+	if err := o.save(v); err != nil {
+		return err
+	}
+	return o.print(w, v, text)
+}
+
+// gate prints a baseline diff and fails when it holds a regression.
+func (o *output) gate(w io.Writer, diff interface {
+	Summary() string
+	HasRegressions() bool
+}) error {
+	if err := o.print(w, diff, diff.Summary()); err != nil {
+		return err
+	}
+	if diff.HasRegressions() {
+		return errRegressed
+	}
+	return nil
+}
+
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+func writeJSONFile(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := writeJSON(f, v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// readJSON decodes a committed baseline file into v.
+func readJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var recs []cross.SweepRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%s holds no sweep records", path)
-	}
-	return recs, nil
+	return nil
 }
 
 // readHostBaseline loads a committed host benchmark (BENCH_host.json).
@@ -103,156 +266,18 @@ func readBaseline(path string) ([]cross.SweepRecord, error) {
 // and the legacy bare record array, which diffs with no environment
 // metadata (every env check skips).
 func readHostBaseline(path string) (cross.HostBenchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return cross.HostBenchFile{}, err
-	}
 	var file cross.HostBenchFile
-	if err := json.Unmarshal(data, &file); err == nil && len(file.Records) > 0 {
+	if err := readJSON(path, &file); err == nil && len(file.Records) > 0 {
 		return file, nil
 	}
 	var recs []cross.HostBenchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return cross.HostBenchFile{}, fmt.Errorf("parse %s: %w", path, err)
+	if err := readJSON(path, &recs); err != nil {
+		return cross.HostBenchFile{}, err
 	}
 	if len(recs) == 0 {
 		return cross.HostBenchFile{}, fmt.Errorf("%s holds no host benchmark records", path)
 	}
 	return cross.HostBenchFile{Records: recs}, nil
-}
-
-// readCalibBaseline loads a committed calibration report
-// (BENCH_calib.json).
-func readCalibBaseline(path string) (*cross.CalibReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep cross.CalibReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(rep.Records) == 0 {
-		return nil, fmt.Errorf("%s holds no calibration records", path)
-	}
-	return &rep, nil
-}
-
-// runHostBench handles -hostbench (optionally with -compare/-out):
-// measure the host kernels, write/print the records, and when a
-// baseline is given diff against it, exiting 1 on regression.
-func runHostBench(compare string, threshold float64, out string, asJSON bool) {
-	file, err := cross.HostBenchRunFile()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	if out != "" {
-		if err := writeJSON(out, file); err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-	}
-	if compare == "" {
-		if asJSON {
-			emitJSON(file)
-			return
-		}
-		for _, r := range file.Records {
-			fmt.Printf("%-28s %12.0f ns/op %8.3g allocs/op\n", r.ID, r.NsPerOp, r.AllocsPerOp)
-		}
-		return
-	}
-	baseline, err := readHostBaseline(compare)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	diff := cross.HostBenchDiffFiles(baseline, file, threshold)
-	if asJSON {
-		emitJSON(diff)
-	} else {
-		fmt.Print(diff.Summary())
-	}
-	if diff.HasRegressions() {
-		os.Exit(1)
-	}
-}
-
-// runCalib handles -calib (optionally with -compare/-out): run the
-// calibration harness, write/print the report, and when a baseline is
-// given diff against it, exiting 1 on model drift.
-func runCalib(compare string, threshold float64, cfg cross.CalibConfig, out string, asJSON bool) {
-	rep, err := cross.Calib(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	if out != "" {
-		if err := writeJSON(out, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-	}
-	if compare == "" {
-		if asJSON {
-			emitJSON(rep)
-			return
-		}
-		fmt.Print(rep.Summary())
-		return
-	}
-	baseline, err := readCalibBaseline(compare)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	diff := cross.CalibDiff(baseline, rep, threshold)
-	if asJSON {
-		emitJSON(diff)
-	} else {
-		fmt.Print(diff.Summary())
-	}
-	if diff.HasRegressions() {
-		os.Exit(1)
-	}
-}
-
-// runRefreshBaselines rewrites all three committed baselines from one
-// fresh run — the single documented workflow for intentional model or
-// hardware changes (DESIGN.md §15).
-func runRefreshBaselines(parallel, repeats int) {
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	recs, err := cross.Sweep(cross.SweepConfig{Parallel: parallel})
-	if err != nil {
-		fail(err)
-	}
-	if err := writeJSON("BENCH_baseline.json", recs); err != nil {
-		fail(err)
-	}
-	fmt.Printf("BENCH_baseline.json  %d sweep record(s)\n", len(recs))
-
-	file, err := cross.HostBenchRunFile()
-	if err != nil {
-		fail(err)
-	}
-	if err := writeJSON("BENCH_host.json", file); err != nil {
-		fail(err)
-	}
-	fmt.Printf("BENCH_host.json      %d host record(s), %s\n", len(file.Records), file.Env.CPUModel)
-
-	rep, err := cross.Calib(cross.CalibConfig{Repeats: repeats, Parallel: fitWorkers(parallel)})
-	if err != nil {
-		fail(err)
-	}
-	if err := writeJSON("BENCH_calib.json", rep); err != nil {
-		fail(err)
-	}
-	fmt.Printf("BENCH_calib.json     %d calibration record(s)\n", len(rep.Records))
-	fmt.Print(rep.Summary())
 }
 
 // fitWorkers maps the -parallel convention (0 = NumCPU) onto the
@@ -262,6 +287,263 @@ func fitWorkers(parallel int) int {
 		return runtime.NumCPU()
 	}
 	return parallel
+}
+
+func allCmd(fs *flag.FlagSet) action {
+	o := outputFlags(fs, false)
+	return func(_ []string, w io.Writer) error {
+		all := cross.AllExperiments()
+		var b strings.Builder
+		b.WriteString("CROSS reproduction — regenerating the paper's evaluation (§V)\n")
+		b.WriteString("simulated TPU latencies are model estimates; compare shapes, not absolutes\n\n")
+		for _, exp := range all {
+			b.WriteString(exp.String() + "\n")
+		}
+		return o.print(w, all, b.String())
+	}
+}
+
+func listCmd(fs *flag.FlagSet) action {
+	o := outputFlags(fs, false)
+	return func(_ []string, w io.Writer) error {
+		ids := cross.ExperimentIDs()
+		return o.print(w, ids, strings.Join(ids, "\n")+"\n")
+	}
+}
+
+func experimentCmd(fs *flag.FlagSet) action {
+	o := outputFlags(fs, false)
+	return func(args []string, w io.Writer) error {
+		exp, err := cross.ExperimentByID(args[0])
+		if err != nil {
+			return err
+		}
+		return o.print(w, exp, exp.String()+"\n")
+	}
+}
+
+func scalingCmd(fs *flag.FlagSet) action {
+	device := fs.String("device", "TPUv6e", "device to scale ("+cross.TargetNames()+")")
+	o := outputFlags(fs, false)
+	return func(_ []string, w io.Writer) error {
+		r, err := harness.CoreScalingOn(*device)
+		if err != nil {
+			return err
+		}
+		return o.print(w, r, r.String()+"\n")
+	}
+}
+
+func versusCmd(fs *flag.FlagSet) action {
+	set := fs.String("set", "D", "parameter-set letter A-D")
+	o := outputFlags(fs, true)
+	return func(args []string, w io.Writer) error {
+		targets := strings.Split(args[0], ",")
+		for i := range targets {
+			targets[i] = strings.TrimSpace(targets[i])
+		}
+		v, err := harness.Versus(targets, *set)
+		if err != nil {
+			return err
+		}
+		return o.emit(w, v, v.Report().String()+"\n")
+	}
+}
+
+func sweepCmd(fs *flag.FlagSet) action {
+	parallel := fs.Int("parallel", 0, "sweep worker count (0 = NumCPU); output is identical at every value")
+	compare := fs.String("compare", "", "diff the fresh sweep against this baseline JSON (BENCH_baseline.json); exit 1 on regression")
+	threshold := fs.Float64("threshold", 0.005, "fractional regression threshold for -compare (0.005 = 0.5%)")
+	o := outputFlags(fs, true)
+	return func(_ []string, w io.Writer) error {
+		var baseline []cross.SweepRecord
+		if *compare != "" {
+			if err := readJSON(*compare, &baseline); err != nil {
+				return err
+			}
+			if len(baseline) == 0 {
+				return fmt.Errorf("%s holds no sweep records", *compare)
+			}
+		}
+		recs, err := cross.Sweep(cross.SweepConfig{Parallel: *parallel})
+		if err != nil {
+			return err
+		}
+		if *compare != "" {
+			if err := o.save(recs); err != nil {
+				return err
+			}
+			return o.gate(w, cross.SweepDiff(baseline, recs, *threshold))
+		}
+		var b strings.Builder
+		for _, r := range recs {
+			fmt.Fprintf(&b, "%-32s %12.4g s  (overlapped %.4g s, collective %.4g s, %d kernel launches)\n",
+				r.ID, r.TotalS, r.OverlappedS, r.CollectiveS, r.Kernels.Total())
+		}
+		return o.emit(w, recs, b.String())
+	}
+}
+
+func hostbenchCmd(fs *flag.FlagSet) action {
+	compare := fs.String("compare", "", "diff the fresh run against this baseline JSON (BENCH_host.json); exit 1 on regression")
+	threshold := fs.Float64("threshold", 0.25, "fractional ns/op regression threshold for -compare (generous: shared CI runners are noisy)")
+	o := outputFlags(fs, true)
+	return func(_ []string, w io.Writer) error {
+		var baseline cross.HostBenchFile
+		if *compare != "" {
+			var err error
+			if baseline, err = readHostBaseline(*compare); err != nil {
+				return err
+			}
+		}
+		file, err := cross.HostBenchRunFile()
+		if err != nil {
+			return err
+		}
+		if *compare != "" {
+			if err := o.save(file); err != nil {
+				return err
+			}
+			return o.gate(w, cross.HostBenchDiffFiles(baseline, file, *threshold))
+		}
+		var b strings.Builder
+		for _, r := range file.Records {
+			fmt.Fprintf(&b, "%-28s %12.0f ns/op %8.3g allocs/op\n", r.ID, r.NsPerOp, r.AllocsPerOp)
+		}
+		return o.emit(w, file, b.String())
+	}
+}
+
+func calibCmd(fs *flag.FlagSet) action {
+	compare := fs.String("compare", "", "diff the fresh report against this baseline JSON (BENCH_calib.json); exit 1 on model drift")
+	threshold := fs.Float64("threshold", 0.10, "absolute model-error growth that fails -compare (published-source drift is deterministic)")
+	repeats := fs.Int("repeats", 0, "raw timing samples per host measurement point (default 5)")
+	parallel := fs.Int("parallel", 0, "fitter worker count (0 = NumCPU)")
+	o := outputFlags(fs, true)
+	return func(_ []string, w io.Writer) error {
+		var baseline cross.CalibReport
+		if *compare != "" {
+			if err := readJSON(*compare, &baseline); err != nil {
+				return err
+			}
+			if len(baseline.Records) == 0 {
+				return fmt.Errorf("%s holds no calibration records", *compare)
+			}
+		}
+		rep, err := cross.Calib(cross.CalibConfig{Repeats: *repeats, Parallel: fitWorkers(*parallel)})
+		if err != nil {
+			return err
+		}
+		if *compare != "" {
+			if err := o.save(rep); err != nil {
+				return err
+			}
+			return o.gate(w, cross.CalibDiff(&baseline, rep, *threshold))
+		}
+		return o.emit(w, rep, rep.Summary())
+	}
+}
+
+// refreshCmd rewrites all three committed baselines from one fresh run
+// — the single documented workflow for intentional model or hardware
+// changes (DESIGN.md §15).
+func refreshCmd(fs *flag.FlagSet) action {
+	parallel := fs.Int("parallel", 0, "sweep and fitter worker count (0 = NumCPU)")
+	repeats := fs.Int("repeats", 0, "calib: raw timing samples per host measurement point (default 5)")
+	return func(_ []string, w io.Writer) error {
+		recs, err := cross.Sweep(cross.SweepConfig{Parallel: *parallel})
+		if err != nil {
+			return err
+		}
+		if err := writeJSONFile("BENCH_baseline.json", recs); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "BENCH_baseline.json  %d sweep record(s)\n", len(recs))
+
+		file, err := cross.HostBenchRunFile()
+		if err != nil {
+			return err
+		}
+		if err := writeJSONFile("BENCH_host.json", file); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "BENCH_host.json      %d host record(s), %s\n", len(file.Records), file.Env.CPUModel)
+
+		rep, err := cross.Calib(cross.CalibConfig{Repeats: *repeats, Parallel: fitWorkers(*parallel)})
+		if err != nil {
+			return err
+		}
+		if err := writeJSONFile("BENCH_calib.json", rep); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "BENCH_calib.json     %d calibration record(s)\n", len(rep.Records))
+		_, err = io.WriteString(w, rep.Summary())
+		return err
+	}
+}
+
+// serveFlags registers the flags serve, chaos and plan share and binds
+// them to a cross.ServeConfig; finish parses the structured ones into
+// it once the flags are parsed. withFaults adds -fleet and the fault
+// model, which plan does not take: it sweeps its own -fleets, fault-free.
+func serveFlags(fs *flag.FlagSet, withFaults bool) (cfg *cross.ServeConfig, finish func() error) {
+	cfg = &cross.ServeConfig{}
+	fs.StringVar(&cfg.Spec, "device", "TPUv6e", "device of every pod ("+cross.TargetNames()+")")
+	fs.StringVar(&cfg.Set, "set", "B", "parameter-set letter A-D")
+	fs.Float64Var(&cfg.Rate, "rate", 0, "offered load in requests/s (0 = 70% of fleet capacity)")
+	fs.IntVar(&cfg.Pods, "pods", 0, "fleet size in pods (default 4)")
+	fs.IntVar(&cfg.CoresPerPod, "cores", 0, "cores per pod (default 1)")
+	fs.StringVar(&cfg.Policy, "policy", "", "dispatch policy (round-robin, least-loaded, jsq, cheapest)")
+	fs.Int64Var(&cfg.Seed, "seed", 0, "arrival PRNG seed (default 1)")
+	fs.Float64Var(&cfg.HorizonS, "horizon", 0, "arrival window in simulated seconds (default 0.25)")
+	fs.IntVar(&cfg.MaxBatch, "batch", 0, "max batch size per launch (default 8; 1 disables batching)")
+	fs.Float64Var(&cfg.MaxDelayS, "delay", 0, "max queue delay in seconds an idle pod holds a non-full batch (default 0)")
+	fs.BoolVar(&cfg.Overlap, "overlap", false, "price service times at the overlap-aware OverlappedTotal instead of the serial total")
+	fs.IntVar(&cfg.Parallel, "parallel", 0, "pre-pricing worker count (0 = NumCPU); output is identical at every value")
+	mix := fs.String("mix", "", `workload mix as "HE-Mult=0.6,Rotate=0.3,MNIST=0.1" (default mixed operator+MNIST traffic)`)
+	classes := fs.String("classes", "", `SLO classes "name:priority[:deadline_s[:queue_limit]]", comma-separated; bind mix entries with weight@class`)
+	var fleet string
+	var faults cross.FaultConfig
+	if withFaults {
+		fs.StringVar(&fleet, "fleet", "", `heterogeneous fleet "device:cores:count[:dollar_hr]" groups joined by "+" (replaces -device/-pods/-cores)`)
+		fs.Int64Var(&faults.Seed, "fault-seed", 0, "fault injector PRNG seed, independent of -seed (default 1)")
+		fs.Float64Var(&faults.MTBFS, "mtbf", 0, "per-pod mean time between crashes in seconds (0 = no crashes)")
+		fs.Float64Var(&faults.MTTRS, "mttr", 0, "per-pod mean time to recover in seconds (default mtbf/10)")
+		fs.Float64Var(&faults.StragglerFactor, "straggler", 0, "transient-straggler slowdown factor ≥ 1 (0 = off)")
+		fs.Float64Var(&faults.BatchErrorProb, "batcherr", 0, "i.i.d. probability that a batch launch fails transiently")
+		fs.Float64Var(&faults.DeadlineS, "deadline", 0, "per-request deadline in seconds; timed-out requests never count completed (0 = none)")
+		fs.IntVar(&faults.MaxRetries, "retries", 0, "max re-dispatches for a request lost to a crash or batch error")
+		fs.BoolVar(&faults.Hedge, "hedge", false, "hedged dispatch: copy a slow batch to an idle pod, first finisher wins")
+		fs.IntVar(&faults.QueueLimit, "shed", 0, "shed arrivals when the dispatched pod already queues this many requests (0 = unbounded)")
+	}
+	return cfg, func() error {
+		if fleet != "" {
+			f, err := cross.ServeParseFleet(fleet)
+			if err != nil {
+				return err
+			}
+			cfg.Fleet = f
+			cfg.Spec, cfg.Pods, cfg.CoresPerPod = "", 0, 0
+		}
+		if *mix != "" {
+			m, err := parseMix(*mix)
+			if err != nil {
+				return err
+			}
+			cfg.Mix = m
+		}
+		if *classes != "" {
+			cs, err := parseClasses(*classes)
+			if err != nil {
+				return err
+			}
+			cfg.Classes = cs
+		}
+		if withFaults {
+			cfg.Faults = &faults // a zero FaultConfig serves fault-free, byte-identically
+		}
+		return nil
+	}
 }
 
 // parseMix parses "-mix HE-Mult=0.6,Rotate=0.3,MNIST=0.1" into the
@@ -313,458 +595,160 @@ func parseClasses(s string) ([]cross.ServeSLOClass, error) {
 	return classes, nil
 }
 
-// writeJSON writes any record to path with the stdout JSON encoding.
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
+// serveCmd runs one serving scenario; any fault flag turns the fault
+// layer on (DESIGN.md §16).
+func serveCmd(fs *flag.FlagSet) action {
+	cfg, finish := serveFlags(fs, true)
+	fs.StringVar(&cfg.TracePath, "trace", "", "replay arrivals from a JSON or CSV trace file instead of the Poisson source")
+	fs.StringVar(&cfg.Stats, "stats", "", "latency statistics mode: stored (exact, default) or streaming (O(1) memory for long horizons)")
+	o := outputFlags(fs, true)
+	return func(_ []string, w io.Writer) error {
+		if err := finish(); err != nil {
+			return err
+		}
+		r, err := cross.Serve(*cfg)
+		if err != nil {
+			return err
+		}
+		return o.emit(w, r, r.Summary())
+	}
+}
+
+// chaosCmd reruns the serving scenario across the default crash-MTBF
+// grid and emits the availability curve. The fault flags set the
+// recovery knobs; the grid overrides -mtbf per cell.
+func chaosCmd(fs *flag.FlagSet) action {
+	cfg, finish := serveFlags(fs, true)
+	o := outputFlags(fs, true)
+	return func(_ []string, w io.Writer) error {
+		if err := finish(); err != nil {
+			return err
+		}
+		r, err := cross.ServeChaos(cross.ServeChaosConfig{Serve: *cfg})
+		if err != nil {
+			return err
+		}
+		return o.emit(w, r, r.Summary())
+	}
+}
+
+// planCmd sweeps the candidate fleets for the highest rate meeting the
+// p99 target and emits the req/s/$ frontier.
+func planCmd(fs *flag.FlagSet) action {
+	cfg, finish := serveFlags(fs, false)
+	fleets := fs.String("fleets", "", "comma-separated candidate fleet specs (default 1/2/4/8-pod ladder of -device)")
+	slo := fs.Float64("slo", 0, "target p99 latency in seconds")
+	o := outputFlags(fs, true)
+	return func(_ []string, w io.Writer) error {
+		if err := finish(); err != nil {
+			return err
+		}
+		pc := cross.ServePlanConfig{Base: *cfg, TargetP99S: *slo}
+		if *fleets != "" {
+			f, err := cross.ServeParseFleets(*fleets)
+			if err != nil {
+				return err
+			}
+			pc.Fleets = f
+		}
+		r, err := cross.ServePlan(pc)
+		if err != nil {
+			return err
+		}
+		return o.emit(w, r, r.Summary())
+	}
+}
+
+// profCmd prints the Fig. 12-style lowered Schedule of one HE operator
+// on one target — the reproduction's stand-in for the XLA profiler
+// trace viewer.
+func profCmd(fs *flag.FlagSet) action {
+	device := fs.String("device", "TPUv6e", "device ("+cross.TargetNames()+")")
+	set := fs.String("set", "D", "parameter-set letter A-D")
+	op := fs.String("op", "mult", "operator: add, mult, rescale, rotate, keyswitch, bootstrap, ntt, intt")
+	batch := fs.Int("batch", 1, "batch size for ntt/intt")
+	cores := fs.Int("cores", 1, "core count: 1 profiles a single core, >1 a pod")
+	return func(_ []string, w io.Writer) error {
+		if *cores < 1 {
+			return fmt.Errorf("-cores must be ≥ 1, got %d", *cores)
+		}
+		if (*op == "ntt" || *op == "intt") && *batch < 1 {
+			return fmt.Errorf("-batch must be ≥ 1, got %d", *batch)
+		}
+		params, err := icross.NamedSet(*set)
+		if err != nil {
+			return err
+		}
+		target, err := cross.TargetByName(*device, *cores)
+		if err != nil {
+			return err
+		}
+		comp, err := cross.Compile(target, params)
+		if err != nil {
+			return err
+		}
+		var sched *cross.Schedule
+		switch *op {
+		case "add":
+			sched = comp.LowerHEAdd()
+		case "mult":
+			sched = comp.LowerHEMult()
+		case "rescale":
+			sched = comp.LowerRescale()
+		case "rotate":
+			sched = comp.LowerRotate()
+		case "keyswitch":
+			sched = comp.LowerKeySwitch()
+		case "bootstrap":
+			sched = comp.LowerBootstrap(cross.DefaultBootstrapSchedule(params))
+		case "ntt":
+			sched = comp.LowerNTT(*batch)
+		case "intt":
+			sched = comp.LowerINTT(*batch)
+		default:
+			return fmt.Errorf("unknown -op %q (want add, mult, rescale, rotate, keyswitch, bootstrap, ntt or intt)", *op)
+		}
+		_, err = fmt.Fprintf(w, "Set %s (N=2^%d, L=%d, dnum=%d, split %dx%d)\n%s",
+			*set, params.LogN, params.L, params.Dnum, params.R, params.C, sched)
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
+}
+
+// nttCmd compares the three NTT lowerings the paper analyses — radix-2
+// Cooley–Tukey (Alg. 3), 4-step with explicit transpose, and the MAT
+// layout-invariant 3-step (Fig. 10) — across batch sizes.
+func nttCmd(fs *flag.FlagSet) action {
+	device := fs.String("device", "TPUv6e", "device ("+cross.TargetNames()+")")
+	logN := fs.Int("logn", 13, "ring degree exponent, in [3, 17]")
+	return func(_ []string, w io.Writer) error {
+		if *logN < 3 || *logN > 17 {
+			return fmt.Errorf("-logn %d outside the compiler's range [3, 17]", *logN)
+		}
+		p := icross.SetA()
+		p.LogN = *logN
+		p.R = min(128, p.N()/2)
+		p.C = p.N() / p.R
+		target, err := cross.TargetByName(*device, 1)
+		if err != nil {
+			return err
+		}
+		comp, err := cross.Compile(target, p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "NTT algorithm comparison on %s at N=2^%d (split %dx%d):\n\n", *device, *logN, p.R, p.C)
+		fmt.Fprintf(w, "%-8s%16s%16s%16s%14s\n", "batch", "radix-2 µs", "4-step µs", "MAT 3-step µs", "MAT kNTT/s")
+		for batch := 1; batch <= 128; batch <<= 1 {
+			radix2 := comp.LowerOp("radix-2", func() float64 { return comp.CostNTTRadix2(batch) }).Total
+			four := comp.LowerOp("4-step", func() float64 { return comp.CostNTT4Step(batch) }).Total
+			mat := comp.LowerNTT(batch).Total
+			fmt.Fprintf(w, "%-8d%16.1f%16.1f%16.1f%14.0f\n",
+				batch, radix2*1e6, four*1e6, mat*1e6, float64(batch)/mat/1e3)
+		}
+		best, thr := comp.BestNTTBatch(256)
+		fmt.Fprintf(w, "\npeak: batch %d → %.0f kNTT/s per tensor core\n", best, thr/1e3)
+		_, err = fmt.Fprint(w, "\n(Tab. X context: the paper measures ~25–30× radix-2 → MAT speedup on\n"+
+			" TPUv4 at batch 128; the ratio here should be the same order.)\n")
 		return err
-	}
-	return f.Close()
-}
-
-// runServe handles -serve: execute one serving scenario and emit its
-// record.
-func runServe(cfg cross.ServeConfig, out string, asJSON bool) {
-	r, err := cross.Serve(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	if out != "" {
-		if err := writeJSON(out, r); err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-	}
-	if asJSON {
-		emitJSON(r)
-		return
-	}
-	fmt.Print(r.Summary())
-}
-
-// runChaos handles -chaos: sweep the serving scenario across the
-// default crash-MTBF grid and emit the availability curve. The chaos
-// cells reuse the serve fault flags for recovery knobs; the MTBF axis
-// itself comes from the grid (any -mtbf value seeds the base config's
-// other defaults but is overridden per cell).
-func runChaos(cc cross.ServeChaosConfig, out string, asJSON bool) {
-	r, err := cross.ServeChaos(cc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	if out != "" {
-		if err := writeJSON(out, r); err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-	}
-	if asJSON {
-		emitJSON(r)
-		return
-	}
-	fmt.Print(r.Summary())
-}
-
-// runPlan handles -plan: sweep the candidate fleets for the highest
-// rate meeting the p99 target and emit the req/s/$ frontier.
-func runPlan(pc cross.ServePlanConfig, out string, asJSON bool) {
-	r, err := cross.ServePlan(pc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossbench:", err)
-		os.Exit(1)
-	}
-	if out != "" {
-		if err := writeJSON(out, r); err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-	}
-	if asJSON {
-		emitJSON(r)
-		return
-	}
-	fmt.Print(r.Summary())
-}
-
-func main() {
-	list := flag.Bool("list", false, "list experiment identifiers and exit")
-	experiment := flag.String("experiment", "", "run a single experiment by identifier")
-	scaling := flag.Bool("scaling", false, "run only the core-count scaling sweep")
-	device := flag.String("device", "TPUv6e", "device for -scaling and -serve ("+cross.TargetNames()+")")
-	versus := flag.String("versus", "", `cross-hardware comparison: comma-separated targets ("TPUv6e-16,H100-8"), priced on every workload`)
-	sweepMode := flag.Bool("sweep", false, "run the full cross-product perf sweep")
-	hostbenchMode := flag.Bool("hostbench", false, "measure host kernels (real ns/op + allocs/op); with -compare, diff against a BENCH_host.json baseline")
-	calibMode := flag.Bool("calib", false, "run the calibration harness: measure ground truth, fit the model's free constants, report per-kernel model error; with -compare, gate model drift against a BENCH_calib.json baseline")
-	repeats := flag.Int("repeats", 0, "calib: raw timing samples per host measurement point (default 5)")
-	refreshBaselines := flag.Bool("refresh-baselines", false, "rewrite all three committed baselines (BENCH_baseline.json, BENCH_host.json, BENCH_calib.json) from one fresh run")
-	serveMode := flag.Bool("serve", false, "run the discrete-event serving simulator")
-	planMode := flag.Bool("plan", false, `capacity planner: highest req/s meeting -slo per candidate fleet, ranked by req/s/$`)
-	fleet := flag.String("fleet", "", `serve: heterogeneous fleet "device:cores:count[:dollar_hr]" groups joined by "+" (replaces -device/-pods/-cores)`)
-	fleets := flag.String("fleets", "", `plan: comma-separated candidate fleet specs (default 1/2/4/8-pod ladder of -device)`)
-	slo := flag.Float64("slo", 0, "plan: target p99 latency in seconds")
-	classes := flag.String("classes", "", `serve: SLO classes "name:priority[:deadline_s[:queue_limit]]", comma-separated; bind mix entries with weight@class`)
-	trace := flag.String("trace", "", "serve: replay arrivals from a JSON or CSV trace file instead of the Poisson source")
-	stats := flag.String("stats", "", "serve: latency statistics mode — stored (exact, default) or streaming (O(1) memory for long horizons)")
-	rate := flag.Float64("rate", 0, "serve: offered load in requests/s (0 = 70% of fleet capacity)")
-	pods := flag.Int("pods", 0, "serve: fleet size in pods (default 4)")
-	podCores := flag.Int("cores", 0, "serve: cores per pod (default 1)")
-	policy := flag.String("policy", "", "serve: dispatch policy (round-robin, least-loaded, jsq, cheapest)")
-	seed := flag.Int64("seed", 0, "serve: arrival PRNG seed (default 1)")
-	horizon := flag.Float64("horizon", 0, "serve: arrival window in simulated seconds (default 0.25)")
-	batch := flag.Int("batch", 0, "serve: max batch size per launch (default 8; 1 disables batching)")
-	delay := flag.Float64("delay", 0, "serve: max queue delay in seconds an idle pod holds a non-full batch (default 0)")
-	mix := flag.String("mix", "", `serve: workload mix as "HE-Mult=0.6,Rotate=0.3,MNIST=0.1" (default mixed operator+MNIST traffic)`)
-	set := flag.String("set", "", `parameter-set letter A-D for -serve (default "B") and -versus (default "D")`)
-	overlap := flag.Bool("overlap", false, "serve: price service times at the overlap-aware OverlappedTotal instead of the serial total")
-	faultsMode := flag.Bool("faults", false, "serve: enable the deterministic fault model and recovery machinery (DESIGN.md §16)")
-	chaosMode := flag.Bool("chaos", false, "chaos sweep: rerun the serving scenario across a crash-MTBF grid and report the availability curve")
-	faultSeed := flag.Int64("fault-seed", 0, "faults: injector PRNG seed, independent of -seed (default 1)")
-	mtbf := flag.Float64("mtbf", 0, "faults: per-pod mean time between crashes in seconds (0 = no crashes)")
-	mttr := flag.Float64("mttr", 0, "faults: per-pod mean time to recover in seconds (default mtbf/10)")
-	straggler := flag.Float64("straggler", 0, "faults: transient-straggler slowdown factor ≥ 1 (0 = off)")
-	batcherr := flag.Float64("batcherr", 0, "faults: i.i.d. probability that a batch launch fails transiently")
-	deadline := flag.Float64("deadline", 0, "faults: per-request deadline in seconds; timed-out requests never count completed (0 = none)")
-	retries := flag.Int("retries", 0, "faults: max re-dispatches for a request lost to a crash or batch error")
-	hedge := flag.Bool("hedge", false, "faults: hedged dispatch — copy a slow batch to an idle pod, first finisher wins")
-	shed := flag.Int("shed", 0, "faults: shed arrivals when the dispatched pod already queues this many requests (0 = unbounded)")
-	compare := flag.String("compare", "", "run a fresh sweep (or host benchmark with -hostbench) and diff it against a baseline JSON file; exit 1 on regression")
-	metric := flag.String("metric", "all", "sweep -compare: gate on one latency column — total, overlapped, or all")
-	parallel := flag.Int("parallel", 0, "sweep worker count (0 = NumCPU); output is identical at every value")
-	threshold := flag.Float64("threshold", 0.005, "fractional regression threshold for -compare (0.005 = 0.5%; -hostbench defaults to 0.25, -calib to 0.10)")
-	out := flag.String("out", "", "also write the fresh records JSON to this file (-sweep, -hostbench or -compare); lets CI keep the artifact without running the measurement twice")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of formatted tables")
-	flag.Parse()
-
-	deviceSet, thresholdSet, parallelSet, outSet, metricSet, setSet, repeatsSet := false, false, false, false, false, false, false
-	serveFlagSet, faultFlagSet := "", ""
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "device":
-			deviceSet = true
-		case "threshold":
-			thresholdSet = true
-		case "parallel":
-			parallelSet = true
-		case "out":
-			outSet = true
-		case "metric":
-			metricSet = true
-		case "set":
-			setSet = true
-		case "repeats":
-			repeatsSet = true
-		case "rate", "pods", "cores", "policy", "seed", "horizon", "batch", "delay", "mix", "overlap", "classes":
-			serveFlagSet = f.Name
-		case "fault-seed", "mtbf", "mttr", "straggler", "batcherr", "deadline", "retries", "hedge", "shed":
-			faultFlagSet = f.Name
-		}
-	})
-	// -hostbench and -calib pair with -compare (their respective gates);
-	// every other top-level mode is mutually exclusive.
-	exclusive := 0
-	for _, on := range []bool{*scaling, *sweepMode, *hostbenchMode, *calibMode, *refreshBaselines, *serveMode, *chaosMode, *planMode,
-		*compare != "" && !*hostbenchMode && !*calibMode, *list, *experiment != "", *versus != ""} {
-		if on {
-			exclusive++
-		}
-	}
-	if exclusive > 1 {
-		fmt.Fprintln(os.Stderr, "crossbench: -scaling, -sweep, -hostbench, -calib, -refresh-baselines, -serve, -chaos, -plan, -compare, -versus, -list and -experiment are mutually exclusive (except -hostbench/-calib with -compare)")
-		os.Exit(1)
-	}
-	if deviceSet && !*scaling && !*serveMode && !*chaosMode && !*planMode {
-		fmt.Fprintln(os.Stderr, "crossbench: -device only applies to -scaling, -serve, -chaos and -plan")
-		os.Exit(1)
-	}
-	if setSet && !*serveMode && !*chaosMode && !*planMode && *versus == "" {
-		fmt.Fprintln(os.Stderr, "crossbench: -set only applies to -serve, -chaos, -plan and -versus")
-		os.Exit(1)
-	}
-	if thresholdSet && *compare == "" {
-		fmt.Fprintln(os.Stderr, "crossbench: -threshold only applies to -compare")
-		os.Exit(1)
-	}
-	if parallelSet && (*hostbenchMode || (!*sweepMode && !*serveMode && !*chaosMode && !*planMode && !*calibMode && !*refreshBaselines && *compare == "")) {
-		fmt.Fprintln(os.Stderr, "crossbench: -parallel only applies to -sweep, -serve, -chaos, -plan, -calib, -refresh-baselines and sweep -compare")
-		os.Exit(1)
-	}
-	if outSet && !*sweepMode && !*hostbenchMode && !*calibMode && !*serveMode && !*chaosMode && !*planMode && *compare == "" && *versus == "" {
-		fmt.Fprintln(os.Stderr, "crossbench: -out only applies to -sweep, -hostbench, -calib, -serve, -chaos, -plan, -compare and -versus")
-		os.Exit(1)
-	}
-	if repeatsSet && !*calibMode && !*refreshBaselines {
-		fmt.Fprintln(os.Stderr, "crossbench: -repeats only applies to -calib and -refresh-baselines")
-		os.Exit(1)
-	}
-	if serveFlagSet != "" && !*serveMode && !*chaosMode && !*planMode {
-		fmt.Fprintf(os.Stderr, "crossbench: -%s only applies to -serve, -chaos and -plan\n", serveFlagSet)
-		os.Exit(1)
-	}
-	if *fleet != "" && !*serveMode && !*chaosMode {
-		fmt.Fprintln(os.Stderr, "crossbench: -fleet only applies to -serve and -chaos (-plan takes -fleets)")
-		os.Exit(1)
-	}
-	if *trace != "" && !*serveMode {
-		fmt.Fprintln(os.Stderr, "crossbench: -trace only applies to -serve")
-		os.Exit(1)
-	}
-	if *stats != "" && !*serveMode {
-		fmt.Fprintln(os.Stderr, "crossbench: -stats only applies to -serve")
-		os.Exit(1)
-	}
-	if (*fleets != "" || *slo != 0) && !*planMode {
-		fmt.Fprintln(os.Stderr, "crossbench: -fleets and -slo only apply to -plan")
-		os.Exit(1)
-	}
-	if *faultsMode && !*serveMode {
-		fmt.Fprintln(os.Stderr, "crossbench: -faults only applies to -serve (-chaos implies it)")
-		os.Exit(1)
-	}
-	if faultFlagSet != "" && !*faultsMode && !*chaosMode {
-		fmt.Fprintf(os.Stderr, "crossbench: -%s only applies to -serve -faults and -chaos\n", faultFlagSet)
-		os.Exit(1)
-	}
-	if metricSet && (*compare == "" || *hostbenchMode || *calibMode) {
-		fmt.Fprintln(os.Stderr, "crossbench: -metric only applies to sweep -compare")
-		os.Exit(1)
-	}
-	gateMetric := ""
-	switch *metric {
-	case "all":
-	case "total":
-		gateMetric = cross.SweepMetricTotal
-	case "overlapped":
-		gateMetric = cross.SweepMetricOverlapped
-	default:
-		fmt.Fprintf(os.Stderr, "crossbench: -metric must be total, overlapped or all, got %q\n", *metric)
-		os.Exit(1)
-	}
-
-	if *serveMode || *chaosMode || *planMode {
-		cfg := cross.ServeConfig{
-			Seed: *seed, Set: *set, Pods: *pods, CoresPerPod: *podCores,
-			Policy: *policy, Rate: *rate, HorizonS: *horizon,
-			MaxBatch: *batch, MaxDelayS: *delay, Overlap: *overlap, Parallel: *parallel,
-			TracePath: *trace, Stats: *stats,
-		}
-		if deviceSet {
-			cfg.Spec = *device
-		}
-		if *fleet != "" {
-			f, err := cross.ServeParseFleet(*fleet)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crossbench:", err)
-				os.Exit(1)
-			}
-			cfg.Fleet = f
-			cfg.Spec, cfg.Pods, cfg.CoresPerPod = "", 0, 0
-		}
-		if *mix != "" {
-			m, err := parseMix(*mix)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crossbench:", err)
-				os.Exit(1)
-			}
-			cfg.Mix = m
-		}
-		if *classes != "" {
-			cs, err := parseClasses(*classes)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crossbench:", err)
-				os.Exit(1)
-			}
-			cfg.Classes = cs
-		}
-		if *planMode {
-			pc := cross.ServePlanConfig{Base: cfg, TargetP99S: *slo}
-			if *fleets != "" {
-				fs, err := cross.ServeParseFleets(*fleets)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "crossbench:", err)
-					os.Exit(1)
-				}
-				pc.Fleets = fs
-			}
-			runPlan(pc, *out, *asJSON)
-			return
-		}
-		if *faultsMode || *chaosMode {
-			cfg.Faults = &cross.FaultConfig{
-				Seed: *faultSeed, MTBFS: *mtbf, MTTRS: *mttr,
-				StragglerFactor: *straggler, BatchErrorProb: *batcherr,
-				DeadlineS: *deadline, MaxRetries: *retries,
-				Hedge: *hedge, QueueLimit: *shed,
-			}
-		}
-		if *chaosMode {
-			runChaos(cross.ServeChaosConfig{Serve: cfg}, *out, *asJSON)
-		} else {
-			runServe(cfg, *out, *asJSON)
-		}
-		return
-	}
-
-	if *hostbenchMode {
-		th := *threshold
-		if !thresholdSet {
-			th = 0.25 // generous: shared CI runners are noisy
-		}
-		runHostBench(*compare, th, *out, *asJSON)
-		return
-	}
-
-	if *calibMode {
-		th := *threshold
-		if !thresholdSet {
-			th = 0.10 // published-source drift is deterministic; 10% absolute model-error growth gates
-		}
-		cfg := cross.CalibConfig{Repeats: *repeats, Parallel: fitWorkers(*parallel)}
-		runCalib(*compare, th, cfg, *out, *asJSON)
-		return
-	}
-
-	if *refreshBaselines {
-		runRefreshBaselines(*parallel, *repeats)
-		return
-	}
-
-	if *sweepMode {
-		recs, err := cross.Sweep(cross.SweepConfig{Parallel: *parallel})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-		if *out != "" {
-			if err := writeJSON(*out, recs); err != nil {
-				fmt.Fprintln(os.Stderr, "crossbench:", err)
-				os.Exit(1)
-			}
-		}
-		if *asJSON {
-			emitJSON(recs)
-			return
-		}
-		for _, r := range recs {
-			fmt.Printf("%-32s %12.4g s  (overlapped %.4g s, collective %.4g s, %d kernel launches)\n",
-				r.ID, r.TotalS, r.OverlappedS, r.CollectiveS, r.Kernels.Total())
-		}
-		return
-	}
-
-	if *compare != "" {
-		baseline, err := readBaseline(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-		recs, err := cross.Sweep(cross.SweepConfig{Parallel: *parallel})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-		if *out != "" {
-			if err := writeJSON(*out, recs); err != nil {
-				fmt.Fprintln(os.Stderr, "crossbench:", err)
-				os.Exit(1)
-			}
-		}
-		diff := cross.SweepDiff(baseline, recs, *threshold).FilterMetric(gateMetric)
-		if *asJSON {
-			emitJSON(diff)
-		} else {
-			fmt.Print(diff.Summary())
-		}
-		if diff.HasRegressions() {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *versus != "" {
-		targets := strings.Split(*versus, ",")
-		for i := range targets {
-			targets[i] = strings.TrimSpace(targets[i])
-		}
-		vset := *set
-		if vset == "" {
-			vset = "D"
-		}
-		v, err := harness.Versus(targets, vset)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-		if *out != "" {
-			if err := writeJSON(*out, v); err != nil {
-				fmt.Fprintln(os.Stderr, "crossbench:", err)
-				os.Exit(1)
-			}
-		}
-		if *asJSON {
-			emitJSON(v)
-			return
-		}
-		fmt.Println(v.Report().String())
-		return
-	}
-
-	if *scaling {
-		r, err := harness.CoreScalingOn(*device)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crossbench:", err)
-			os.Exit(1)
-		}
-		if *asJSON {
-			emitJSON(r)
-			return
-		}
-		fmt.Println(r.String())
-		return
-	}
-
-	if *list {
-		ids := cross.ExperimentIDs()
-		if *asJSON {
-			emitJSON(ids)
-			return
-		}
-		for _, id := range ids {
-			fmt.Println(id)
-		}
-		return
-	}
-
-	if *experiment != "" {
-		exp, err := cross.ExperimentByID(*experiment)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *asJSON {
-			emitJSON(exp)
-			return
-		}
-		fmt.Println(exp.String())
-		return
-	}
-
-	all := cross.AllExperiments()
-	if *asJSON {
-		emitJSON(all)
-		return
-	}
-	fmt.Println("CROSS reproduction — regenerating the paper's evaluation (§V)")
-	fmt.Println("simulated TPU latencies are model estimates; compare shapes, not absolutes")
-	fmt.Println()
-	for _, exp := range all {
-		fmt.Println(exp.String())
 	}
 }

@@ -76,7 +76,7 @@ type VersusResult struct {
 
 // Versus prices the named targets ("TPUv6e-16", "H100-8") against each
 // other on every sweep workload under one parameter set — the engine
-// behind crossbench -versus.
+// behind crossbench versus.
 func Versus(targets []string, set string) (*VersusResult, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("harness: versus needs at least one target")

@@ -24,7 +24,7 @@ func CoreScaling() Report {
 }
 
 // CoreScalingOn runs the sweep on a caller-chosen registered device
-// (cmd/crossbench's -scaling -device path) — any registry name, TPU
+// (crossbench scaling -device) — any registry name, TPU
 // or GPU.
 func CoreScalingOn(name string) (Report, error) {
 	if _, ok := cross.TargetInfoByName(name); !ok {

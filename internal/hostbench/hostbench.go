@@ -3,7 +3,7 @@
 // kernels — the reproduction's "CPU platform" numbers that
 // bench_test.go reports per paper table. Where the sweep engine gates
 // the *simulated* TPU latencies (BENCH_baseline.json), hostbench gates
-// the *measured* CPU ones (BENCH_host.json): `crossbench -hostbench
+// the *measured* CPU ones (BENCH_host.json): `crossbench hostbench
 // -compare BENCH_host.json` reruns every kernel at a fixed size and
 // fails on regression, so a PR claiming a speedup has to carry the
 // numbers that prove it.

@@ -60,29 +60,6 @@ type DiffResult struct {
 // threshold — the CI gate condition.
 func (d DiffResult) HasRegressions() bool { return len(d.Regressions) > 0 }
 
-// FilterMetric returns a copy of d keeping only deltas of one metric
-// (MetricTotal or MetricOverlapped) — how the CI sweep gate and the
-// overlap gate each gate their own column of the same diff. Unchanged
-// counts and coverage-drift lists are preserved as-is (they are not
-// per-delta). An empty metric keeps everything.
-func (d DiffResult) FilterMetric(metric string) DiffResult {
-	if metric == "" {
-		return d
-	}
-	keep := func(ds []Delta) []Delta {
-		var out []Delta
-		for _, dl := range ds {
-			if dl.Metric == metric {
-				out = append(out, dl)
-			}
-		}
-		return out
-	}
-	d.Regressions = keep(d.Regressions)
-	d.Improvements = keep(d.Improvements)
-	return d
-}
-
 // Summary renders a human-readable gate report.
 func (d DiffResult) Summary() string {
 	var b strings.Builder

@@ -30,8 +30,8 @@ func TestDiffClassification(t *testing.T) {
 	if !d.HasRegressions() {
 		t.Fatal("+1% latency not flagged as regression")
 	}
-	if len(d.Regressions) != 1 || d.Regressions[0].ID != "SetD/TPUv6e-1/HE-Mult" {
-		t.Errorf("regressions = %+v, want exactly the +1%% record", d.Regressions)
+	if len(d.Regressions) != 1 || d.Regressions[0].ID != "SetD/TPUv6e-1/HE-Mult" || d.Regressions[0].Metric != MetricTotal {
+		t.Errorf("regressions = %+v, want exactly the +1%% total_s record", d.Regressions)
 	}
 	if got := d.Regressions[0].Rel; math.Abs(got-0.01) > 1e-9 {
 		t.Errorf("regression rel = %g, want 0.01", got)
@@ -229,24 +229,5 @@ func TestDiffOverlappedSchemaMigration(t *testing.T) {
 	}
 	if d.Unchanged != 1 {
 		t.Errorf("unchanged = %d, want 1", d.Unchanged)
-	}
-}
-
-// TestDiffFilterMetric: each CI gate sees only its own metric's deltas.
-func TestDiffFilterMetric(t *testing.T) {
-	old := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80e-6}}
-	newer := []Record{{ID: "x", TotalS: 102e-6, OverlappedS: 81e-6}}
-	d := Diff(old, newer, 0.005)
-	if len(d.Regressions) != 2 {
-		t.Fatalf("regressions = %+v, want one per metric", d.Regressions)
-	}
-	for _, metric := range []string{MetricTotal, MetricOverlapped} {
-		f := d.FilterMetric(metric)
-		if len(f.Regressions) != 1 || f.Regressions[0].Metric != metric {
-			t.Errorf("FilterMetric(%q) = %+v", metric, f.Regressions)
-		}
-	}
-	if f := d.FilterMetric(""); len(f.Regressions) != 2 {
-		t.Errorf("FilterMetric(\"\") dropped deltas: %+v", f.Regressions)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// marshal renders records exactly as crossbench -sweep -json does.
+// marshal renders records exactly as crossbench sweep -json does.
 func marshal(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
