@@ -16,18 +16,17 @@
 //     slice (Pod), a GPU (GPUDevice) or an NVLink node (GPUNode); all
 //     satisfy the same interface and share one lowering code path, and
 //     the device registry (TargetByName) instantiates any of them from
-//     a name + core count. Kernel lowerings produce Schedule values:
-//     structured artifacts carrying total latency, the per-category
-//     breakdown, kernel-invocation counts, and shard/collective
-//     metadata — plus the overlap-aware latency pair: every lowering
-//     is also recorded as a dependency DAG of timed segments
-//     (SegDAG) executed by a discrete-event engine, so a Schedule
-//     reports both SerialTotal (the paper-faithful serial model) and
-//     OverlappedTotal (collectives and HBM streaming hidden behind
-//     compute; DESIGN.md §13). NewProgram composes multi-operator HE
-//     workloads (mult → rotate → bootstrap → …) into one costed,
-//     memoized schedule. The legacy Cost* float methods remain as
-//     thin deprecated wrappers over Schedule.Total.
+//     a name + core count. The Compiler's Lower* methods are the only
+//     way to price work; each returns a Schedule: a structured
+//     artifact carrying total latency, the per-category breakdown,
+//     kernel-invocation counts, and shard/collective metadata — plus
+//     the overlap-aware latency pair: every lowering is also recorded
+//     as a dependency DAG of timed segments (SegDAG) executed by a
+//     discrete-event engine, so a Schedule reports both Total (the
+//     paper-faithful serial model) and Overlapped (collectives and HBM
+//     streaming hidden behind compute; DESIGN.md §13). NewProgram
+//     composes multi-operator HE workloads (mult → rotate → bootstrap
+//     → …) into one costed, memoized schedule.
 //   - Experiments layer: Experiment/AllExperiments regenerate every
 //     table and figure of the paper's §V with paper-vs-measured rows,
 //     plus the beyond-paper core-count scaling sweep.
@@ -89,7 +88,8 @@ import (
 // Params is a CKKS security/performance configuration (paper Tab. IV).
 type Params = icross.Params
 
-// Compiler lowers HE kernels onto a simulated TPU core.
+// Compiler lowers HE operators onto a Target; its Lower* methods
+// return the priced Schedules.
 type Compiler = icross.Compiler
 
 // Device is one simulated TPU tensor core.
@@ -134,11 +134,6 @@ var (
 // NewDevice instantiates a simulated tensor core.
 func NewDevice(spec DeviceSpec) *Device { return tpusim.NewDevice(spec) }
 
-// NewCompiler builds a CROSS compiler for a device and parameter set.
-//
-// Deprecated: use Compile, which accepts any Target (devices and pods).
-func NewCompiler(dev *Device, p Params) (*Compiler, error) { return icross.New(dev, p) }
-
 // ---- Target / Schedule IR layer ----
 
 // Target is the hardware a Compiler lowers onto. Both *Device and
@@ -158,7 +153,7 @@ type Schedule = icross.Schedule
 type KernelCounts = icross.KernelCounts
 
 // SegDAG is the dependency DAG of timed segments behind a Schedule's
-// OverlappedTotal: nodes are compute / VMEM / HBM / ICI segments,
+// Overlapped latency: nodes are compute / VMEM / HBM / ICI segments,
 // edges are execution-order dependencies, and Execute returns the
 // DAG's makespan under the deterministic discrete-event engine
 // (DESIGN.md §13).
@@ -209,24 +204,8 @@ func DefaultBootstrapSchedule(p Params) BootstrapSchedule {
 // (AllReduceTime, BroadcastTime, …).
 type Pod = tpusim.Pod
 
-// ShardedCompiler is the legacy pod-lowering handle. The sharded
-// lowering now lives in Compiler itself (a Pod is just another
-// Target), so this is a thin compatibility wrapper.
-//
-// Deprecated: use Compile with a *Pod target.
-type ShardedCompiler = icross.ShardedCompiler
-
 // NewPod instantiates an n-core pod of one TPU generation.
 func NewPod(spec DeviceSpec, cores int) (*Pod, error) { return tpusim.NewPod(spec, cores) }
-
-// NewShardedCompiler builds the pod-scale CROSS lowering for a
-// parameter set.
-//
-// Deprecated: use Compile(pod, p) — one lowering API for cores and
-// pods.
-func NewShardedCompiler(pod *Pod, p Params) (*ShardedCompiler, error) {
-	return icross.NewSharded(pod, p)
-}
 
 // ---- GPU backend & device registry ----
 

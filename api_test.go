@@ -76,7 +76,7 @@ func TestContextDefaults(t *testing.T) {
 }
 
 func TestCompilerFacade(t *testing.T) {
-	c, err := NewCompiler(NewDevice(TPUv6e()), SetD())
+	c, err := Compile(NewDevice(TPUv6e()), SetD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCompilerFacade(t *testing.T) {
 	if ops.Mult <= ops.Add {
 		t.Error("mult should dominate add")
 	}
-	if _, err := NewCompiler(NewDevice(TPUv4()), Params{}); err == nil {
+	if _, err := Compile(NewDevice(TPUv4()), Params{}); err == nil {
 		t.Error("expected validation error for zero params")
 	}
 }
@@ -151,19 +151,16 @@ func TestPodFacade(t *testing.T) {
 	if pod.AllReduceTime(1<<20) <= 0 || pod.BroadcastTime(1<<20) <= 0 {
 		t.Error("collectives free on an 8-core pod")
 	}
-	sc, err := NewShardedCompiler(pod, SetD())
+	sc, err := Compile(pod, SetD())
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewCompiler(NewDevice(TPUv6e()), SetD())
+	single, err := Compile(NewDevice(TPUv6e()), SetD())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Snapshot(sc.CostHEMult) >= single.Snapshot(single.CostHEMult) {
+	if sc.LowerHEMult().Total >= single.LowerHEMult().Total {
 		t.Error("8-core sharded HE-Mult should beat single-core")
-	}
-	if _, err := single.LowerSharded(pod); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -301,7 +298,7 @@ func TestSweepFacade(t *testing.T) {
 }
 
 func TestWorkloadFacade(t *testing.T) {
-	c, err := NewCompiler(NewDevice(TPUv6e()), MNISTParams())
+	c, err := Compile(NewDevice(TPUv6e()), MNISTParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +306,7 @@ func TestWorkloadFacade(t *testing.T) {
 	if total <= 0 || perImage <= 0 || total < perImage {
 		t.Error("MNIST estimate degenerate")
 	}
-	cD, err := NewCompiler(NewDevice(TPUv6e()), SetD())
+	cD, err := Compile(NewDevice(TPUv6e()), SetD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +529,7 @@ func TestGPUBackendFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := comp.LowerHEMult()
-	if s.Total <= 0 || s.Collective <= 0 || s.OverlappedTotal() > s.Total {
+	if s.Total <= 0 || s.Collective <= 0 || s.Overlapped > s.Total {
 		t.Errorf("GPU node schedule degenerate: %+v", s)
 	}
 	if _, err := TargetByName("Hopper", 8); err == nil {

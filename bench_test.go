@@ -28,7 +28,7 @@ import (
 
 func mustCompiler(b *testing.B, spec tpusim.Spec, p icross.Params) *icross.Compiler {
 	b.Helper()
-	c, err := icross.New(tpusim.NewDevice(spec), p)
+	c, err := icross.Compile(tpusim.NewDevice(spec), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func BenchmarkTableV(b *testing.B) {
 			c := mustCompiler(b, tpusim.TPUv6e(), icross.SetD())
 			var base, batT float64
 			for i := 0; i < b.N; i++ {
-				base = c.Snapshot(func() float64 { return c.CostMatModMulBaseline(hvw[0], hvw[1], hvw[2]) })
-				batT = c.Snapshot(func() float64 { return c.CostMatModMulBAT(hvw[0], hvw[1], hvw[2]) })
+				base = c.LowerMatModMul(hvw[0], hvw[1], hvw[2], false).Total
+				batT = c.LowerMatModMul(hvw[0], hvw[1], hvw[2], true).Total
 			}
 			b.ReportMetric(base*1e6, "sim_base_us")
 			b.ReportMetric(batT*1e6, "sim_bat_us")
@@ -89,8 +89,8 @@ func BenchmarkTableVI(b *testing.B) {
 			c := mustCompiler(b, tpusim.TPUv6e(), icross.SetD())
 			var with, without float64
 			for i := 0; i < b.N; i++ {
-				with = c.Snapshot(func() float64 { return c.CostBConv(1<<16, ll[0], ll[1], true) })
-				without = c.Snapshot(func() float64 { return c.CostBConv(1<<16, ll[0], ll[1], false) })
+				with = c.LowerBConv(1<<16, ll[0], ll[1], true).Total
+				without = c.LowerBConv(1<<16, ll[0], ll[1], false).Total
 			}
 			b.ReportMetric(with*1e6, "sim_bat_us")
 			b.ReportMetric(without*1e6, "sim_base_us")
@@ -166,9 +166,8 @@ func BenchmarkFig12(b *testing.B) {
 	c := mustCompiler(b, tpusim.TPUv6e(), icross.SetD())
 	var vecShare float64
 	for i := 0; i < b.N; i++ {
-		c.Dev.Trace.Reset()
-		c.CostHEMult()
-		vecShare = c.Dev.Trace.Seconds(tpusim.CatVecModOps) / c.Dev.Trace.Total()
+		tr := c.LowerHEMult().Trace
+		vecShare = tr.Seconds(tpusim.CatVecModOps) / tr.Total()
 	}
 	b.ReportMetric(vecShare*100, "sim_vecmod_pct")
 }
@@ -180,7 +179,7 @@ func BenchmarkTableIX(b *testing.B) {
 	sched := icross.DefaultBootstrapSchedule(icross.SetD())
 	var lat float64
 	for i := 0; i < b.N; i++ {
-		lat = c.Snapshot(func() float64 { return c.CostBootstrap(sched) })
+		lat = c.LowerBootstrap(sched).Total
 	}
 	b.ReportMetric(lat/8*1e3, "sim_v6e8_ms") // amortised over 8 cores
 }
@@ -199,7 +198,7 @@ func BenchmarkFig13a(b *testing.B) {
 			c := mustCompiler(b, tpusim.TPUv6e(), pp)
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				lat = c.Snapshot(func() float64 { return c.CostVecModMul(elems) })
+				lat = c.LowerVecModMul(elems).Total
 			}
 			b.ReportMetric(lat*1e6, "sim_us")
 		})
@@ -213,10 +212,12 @@ func BenchmarkFig13b(b *testing.B) {
 		alg := alg
 		b.Run(alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			c := mustCompiler(b, tpusim.TPUv6e(), icross.SetD())
+			p := icross.SetD()
+			p.Red = alg
+			c := mustCompiler(b, tpusim.TPUv6e(), p)
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				lat = c.Snapshot(func() float64 { return c.CostNTTMatWithRed(8, alg) })
+				lat = c.LowerNTT(8).Total
 			}
 			b.ReportMetric(lat*1e6, "sim_us")
 		})
@@ -234,8 +235,8 @@ func BenchmarkTableX(b *testing.B) {
 		c := mustCompiler(b, tpusim.TPUv4(), p)
 		var r2, mat float64
 		for i := 0; i < b.N; i++ {
-			r2 = c.Snapshot(func() float64 { return c.CostNTTRadix2(128) })
-			mat = c.Snapshot(func() float64 { return c.CostNTTMat(128) })
+			r2 = c.LowerNTTRadix2(128).Total
+			mat = c.LowerNTT(128).Total
 		}
 		b.ReportMetric(r2*1e6, "sim_radix2_us")
 		b.ReportMetric(mat*1e6, "sim_mat_us")
@@ -440,14 +441,11 @@ func BenchmarkHoisting(b *testing.B) {
 			b.ReportAllocs()
 			var plain, hoisted float64
 			for i := 0; i < b.N; i++ {
-				plain = c.Snapshot(func() float64 {
-					var t float64
-					for j := 0; j < k; j++ {
-						t += c.CostRotate()
-					}
-					return t
-				})
-				hoisted = c.Snapshot(func() float64 { return c.CostRotateHoisted(k) })
+				plain = 0
+				for j := 0; j < k; j++ {
+					plain += c.LowerRotate().Total
+				}
+				hoisted = c.LowerRotateHoisted(k).Total
 			}
 			b.ReportMetric(plain*1e6, "sim_plain_us")
 			b.ReportMetric(hoisted*1e6, "sim_hoisted_us")
@@ -462,19 +460,18 @@ func BenchmarkCoreScaling(b *testing.B) {
 	b.ReportAllocs()
 	p := icross.SetD()
 	single := mustCompiler(b, tpusim.TPUv6e(), p)
-	base := single.Snapshot(single.CostHEMult)
+	base := single.LowerHEMult().Total
 	for _, cores := range []int{1, 2, 4, 8} {
 		cores := cores
 		b.Run(fmt.Sprintf("cores%d", cores), func(b *testing.B) {
 			b.ReportAllocs()
-			pod := tpusim.MustPod(tpusim.TPUv6e(), cores)
-			sc, err := icross.NewSharded(pod, p)
+			sc, err := icross.Compile(tpusim.MustPod(tpusim.TPUv6e(), cores), p)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				lat = sc.Snapshot(sc.CostHEMult)
+				lat = sc.LowerHEMult().Total
 			}
 			b.ReportMetric(lat*1e6, "sim_mult_us")
 			b.ReportMetric(base/lat, "sim_speedup")
@@ -514,7 +511,7 @@ func BenchmarkProgramLower(b *testing.B) {
 }
 
 // BenchmarkPodSchedule times pod-target lowering through the unified
-// Compile path (the old ShardedCompiler code path, now just a Target).
+// Compile path (a pod is just another Target).
 func BenchmarkPodSchedule(b *testing.B) {
 	b.ReportAllocs()
 	pod := tpusim.MustPod(tpusim.TPUv6e(), 4)

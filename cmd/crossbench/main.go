@@ -498,7 +498,7 @@ func serveFlags(fs *flag.FlagSet, withFaults bool) (cfg *cross.ServeConfig, fini
 	fs.Float64Var(&cfg.HorizonS, "horizon", 0, "arrival window in simulated seconds (default 0.25)")
 	fs.IntVar(&cfg.MaxBatch, "batch", 0, "max batch size per launch (default 8; 1 disables batching)")
 	fs.Float64Var(&cfg.MaxDelayS, "delay", 0, "max queue delay in seconds an idle pod holds a non-full batch (default 0)")
-	fs.BoolVar(&cfg.Overlap, "overlap", false, "price service times at the overlap-aware OverlappedTotal instead of the serial total")
+	fs.BoolVar(&cfg.Overlap, "overlap", false, "price service times at the overlap-aware Overlapped latency instead of the serial Total")
 	fs.IntVar(&cfg.Parallel, "parallel", 0, "pre-pricing worker count (0 = NumCPU); output is identical at every value")
 	mix := fs.String("mix", "", `workload mix as "HE-Mult=0.6,Rotate=0.3,MNIST=0.1" (default mixed operator+MNIST traffic)`)
 	classes := fs.String("classes", "", `SLO classes "name:priority[:deadline_s[:queue_limit]]", comma-separated; bind mix entries with weight@class`)
@@ -739,8 +739,8 @@ func nttCmd(fs *flag.FlagSet) action {
 		fmt.Fprintf(w, "NTT algorithm comparison on %s at N=2^%d (split %dx%d):\n\n", *device, *logN, p.R, p.C)
 		fmt.Fprintf(w, "%-8s%16s%16s%16s%14s\n", "batch", "radix-2 µs", "4-step µs", "MAT 3-step µs", "MAT kNTT/s")
 		for batch := 1; batch <= 128; batch <<= 1 {
-			radix2 := comp.LowerOp("radix-2", func() float64 { return comp.CostNTTRadix2(batch) }).Total
-			four := comp.LowerOp("4-step", func() float64 { return comp.CostNTT4Step(batch) }).Total
+			radix2 := comp.LowerNTTRadix2(batch).Total
+			four := comp.LowerNTT4Step(batch).Total
 			mat := comp.LowerNTT(batch).Total
 			fmt.Fprintf(w, "%-8d%16.1f%16.1f%16.1f%14.0f\n",
 				batch, radix2*1e6, four*1e6, mat*1e6, float64(batch)/mat/1e3)

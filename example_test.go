@@ -25,7 +25,7 @@ func Example() {
 	}
 	fmt.Printf("3² ≈ %.2f\n", real(ctx.DecryptValues(sq)[0]))
 
-	comp, err := cross.NewCompiler(cross.NewDevice(cross.TPUv6e()), cross.SetD())
+	comp, err := cross.Compile(cross.NewDevice(cross.TPUv6e()), cross.SetD())
 	if err != nil {
 		panic(err)
 	}
@@ -49,40 +49,19 @@ func ExampleNewPod() {
 	if err != nil {
 		panic(err)
 	}
-	one, err := cross.NewShardedCompiler(single, cross.SetD())
+	one, err := cross.Compile(single, cross.SetD())
 	if err != nil {
 		panic(err)
 	}
-	four, err := cross.NewShardedCompiler(quad, cross.SetD())
+	four, err := cross.Compile(quad, cross.SetD())
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(quad.Name(), "cores:", four.NumCores())
-	fmt.Println("4-core HE-Mult faster:", four.Snapshot(four.CostHEMult) < one.Snapshot(one.CostHEMult))
+	fmt.Println("4-core HE-Mult faster:", four.LowerHEMult().Total < one.LowerHEMult().Total)
 	// Output:
 	// TPUv6e-4 cores: 4
 	// 4-core HE-Mult faster: true
-}
-
-// ExampleCompiler_LowerSharded re-targets an existing single-core
-// compiler at a pod and shows that a one-core pod reproduces the
-// single-core model exactly (the sharded lowering is a strict
-// generalisation).
-func ExampleCompiler_LowerSharded() {
-	comp, err := cross.NewCompiler(cross.NewDevice(cross.TPUv5p()), cross.SetC())
-	if err != nil {
-		panic(err)
-	}
-	pod, err := cross.NewPod(cross.TPUv5p(), 1)
-	if err != nil {
-		panic(err)
-	}
-	sharded, err := comp.LowerSharded(pod)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(sharded.Snapshot(sharded.CostHEMult) == comp.Snapshot(comp.CostHEMult))
-	// Output: true
 }
 
 // ExampleCompile demonstrates the unified Target interface: the same

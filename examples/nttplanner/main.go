@@ -76,7 +76,7 @@ func main() {
 			p := cross.SetA()
 			p.LogN = *logN
 			p.R, p.C = r, c
-			comp, err := cross.NewCompiler(cross.NewDevice(spec), p)
+			comp, err := cross.Compile(cross.NewDevice(spec), p)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -9,7 +9,7 @@ import (
 
 func v6eCompiler(t testing.TB, p Params) *Compiler {
 	t.Helper()
-	c, err := New(tpusim.NewDevice(tpusim.TPUv6e()), p)
+	c, err := Compile(tpusim.NewDevice(tpusim.TPUv6e()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestBATBeatsSparseBaseline(t *testing.T) {
 	cases := [][3]int{{512, 256, 256}, {1024, 256, 256}, {2048, 256, 256},
 		{4096, 256, 256}, {1024, 512, 512}, {2048, 2048, 2048}}
 	for _, hvw := range cases {
-		batT := c.Snapshot(func() float64 { return c.CostMatModMulBAT(hvw[0], hvw[1], hvw[2]) })
-		baseT := c.Snapshot(func() float64 { return c.CostMatModMulBaseline(hvw[0], hvw[1], hvw[2]) })
+		batT := c.LowerMatModMul(hvw[0], hvw[1], hvw[2], true).Total
+		baseT := c.LowerMatModMul(hvw[0], hvw[1], hvw[2], false).Total
 		speedup := baseT / batT
 		if speedup <= 1.0 {
 			t.Errorf("(%d,%d,%d): BAT speedup %.2f ≤ 1", hvw[0], hvw[1], hvw[2], speedup)
@@ -97,8 +97,8 @@ func TestBConvBATSpeedup(t *testing.T) {
 	c := v6eCompiler(t, SetD())
 	n := 1 << 16
 	for _, ll := range [][2]int{{12, 28}, {12, 36}, {16, 40}, {24, 56}} {
-		with := c.Snapshot(func() float64 { return c.CostBConv(n, ll[0], ll[1], true) })
-		without := c.Snapshot(func() float64 { return c.CostBConv(n, ll[0], ll[1], false) })
+		with := c.LowerBConv(n, ll[0], ll[1], true).Total
+		without := c.LowerBConv(n, ll[0], ll[1], false).Total
 		speedup := without / with
 		if speedup < 1.5 {
 			t.Errorf("BConv (%d→%d): speedup %.2f too small", ll[0], ll[1], speedup)
@@ -115,8 +115,8 @@ func TestMATNTTBeatsRadix2OnTPU(t *testing.T) {
 	for _, set := range []Params{SetA(), SetB(), SetC()} {
 		c := v6eCompiler(t, set)
 		batch := 128
-		mat := c.Snapshot(func() float64 { return c.CostNTTMat(batch) })
-		radix2 := c.Snapshot(func() float64 { return c.CostNTTRadix2(batch) })
+		mat := c.LowerNTT(batch).Total
+		radix2 := c.LowerNTTRadix2(batch).Total
 		if ratio := radix2 / mat; ratio < 5 {
 			t.Errorf("N=2^%d: radix-2/MAT ratio %.1f; paper reports ~25–30×", set.LogN, ratio)
 		}
@@ -128,8 +128,8 @@ func TestMATBeats4Step(t *testing.T) {
 	// strictly faster at every batch size.
 	c := v6eCompiler(t, SetC())
 	for _, batch := range []int{1, 8, 64} {
-		mat := c.Snapshot(func() float64 { return c.CostNTTMat(batch) })
-		four := c.Snapshot(func() float64 { return c.CostNTT4Step(batch) })
+		mat := c.LowerNTT(batch).Total
+		four := c.LowerNTT4Step(batch).Total
 		if four <= mat {
 			t.Errorf("batch %d: 4-step (%.2eµs) not slower than MAT (%.2eµs)", batch, four*1e6, mat*1e6)
 		}
@@ -171,10 +171,13 @@ func TestModRedOrdering(t *testing.T) {
 	// loses badly (MXU starvation).
 	c := v6eCompiler(t, SetD())
 	n := SetD().N() * 8
-	mont := c.Snapshot(func() float64 { return c.costVecModMulAlg(n, modarith.Montgomery) })
-	barrett := c.Snapshot(func() float64 { return c.costVecModMulAlg(n, modarith.Barrett) })
-	shoup := c.Snapshot(func() float64 { return c.costVecModMulAlg(n, modarith.Shoup) })
-	lazy := c.Snapshot(func() float64 { return c.costVecModMulAlg(n, modarith.BATLazy) })
+	vecMul := func(alg modarith.ReduceAlgorithm) float64 {
+		return c.lowerOp("VecModMul", func() float64 { return c.costVecModMulAlg(n, alg) }).Total
+	}
+	mont := vecMul(modarith.Montgomery)
+	barrett := vecMul(modarith.Barrett)
+	shoup := vecMul(modarith.Shoup)
+	lazy := vecMul(modarith.BATLazy)
 	if !(mont < barrett && barrett < shoup) {
 		t.Errorf("VecModMul ordering violated: mont=%.3g barrett=%.3g shoup=%.3g", mont, barrett, shoup)
 	}
@@ -189,11 +192,14 @@ func TestModRedOrdering(t *testing.T) {
 
 func TestNTTModRedOrdering(t *testing.T) {
 	// Fig. 13b: Montgomery best for the NTT too.
-	c := v6eCompiler(t, SetD())
-	batch := 8
-	mont := c.Snapshot(func() float64 { return c.CostNTTMatWithRed(batch, modarith.Montgomery) })
-	shoup := c.Snapshot(func() float64 { return c.CostNTTMatWithRed(batch, modarith.Shoup) })
-	lazy := c.Snapshot(func() float64 { return c.CostNTTMatWithRed(batch, modarith.BATLazy) })
+	ntt := func(alg modarith.ReduceAlgorithm) float64 {
+		p := SetD()
+		p.Red = alg
+		return v6eCompiler(t, p).LowerNTT(8).Total
+	}
+	mont := ntt(modarith.Montgomery)
+	shoup := ntt(modarith.Shoup)
+	lazy := ntt(modarith.BATLazy)
 	if mont >= shoup {
 		t.Error("Montgomery NTT should beat Shoup NTT")
 	}
@@ -237,10 +243,7 @@ func TestHEOpRelativeCosts(t *testing.T) {
 func TestHEMultBreakdownShape(t *testing.T) {
 	// Fig. 12: on v6e Set D, HE-Mult is VPU-bound — VecModOps is the
 	// largest category and NTT/INTT/BConv matmuls stay a minority.
-	c := v6eCompiler(t, SetD())
-	c.Dev.Trace.Reset()
-	c.CostHEMult()
-	tr := c.Dev.Trace
+	tr := v6eCompiler(t, SetD()).LowerHEMult().Trace
 	total := tr.Total()
 	vec := tr.Seconds(tpusim.CatVecModOps) / total
 	mm := (tr.Seconds(tpusim.CatNTTMatMul) + tr.Seconds(tpusim.CatINTTMatMul) + tr.Seconds(tpusim.CatBConvMatMul)) / total
@@ -253,10 +256,7 @@ func TestHEMultBreakdownShape(t *testing.T) {
 }
 
 func TestRotateHasPermutationShare(t *testing.T) {
-	c := v6eCompiler(t, SetD())
-	c.Dev.Trace.Reset()
-	c.CostRotate()
-	tr := c.Dev.Trace
+	tr := v6eCompiler(t, SetD()).LowerRotate().Trace
 	perm := tr.Seconds(tpusim.CatPermutation) / tr.Total()
 	if perm < 0.03 || perm > 0.6 {
 		t.Errorf("Rotate permutation share %.0f%% implausible (paper: 21%%)", perm*100)
@@ -269,8 +269,8 @@ func TestBootstrapCost(t *testing.T) {
 	if s.Rotations <= 0 || s.Mults <= 0 {
 		t.Fatal("degenerate bootstrap schedule")
 	}
-	boot := c.Snapshot(func() float64 { return c.CostBootstrap(s) })
-	mult := c.Snapshot(c.CostHEMult)
+	boot := c.LowerBootstrap(s).Total
+	mult := c.LowerHEMult().Total
 	if boot < float64(s.Mults)*mult {
 		t.Error("bootstrap cheaper than its own multiplications")
 	}
@@ -280,7 +280,7 @@ func TestGenerationalScaling(t *testing.T) {
 	// Tab. VII: every newer generation delivers more NTT/s.
 	var prev float64
 	for _, spec := range tpusim.AllSpecs() {
-		c, err := New(tpusim.NewDevice(spec), SetB())
+		c, err := Compile(tpusim.NewDevice(spec), SetB())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestHigherDegreeLowerThroughput(t *testing.T) {
 func TestNewRejectsInvalidParams(t *testing.T) {
 	bad := SetA()
 	bad.L = 0
-	if _, err := New(tpusim.NewDevice(tpusim.TPUv4()), bad); err == nil {
+	if _, err := Compile(tpusim.NewDevice(tpusim.TPUv4()), bad); err == nil {
 		t.Error("expected validation error")
 	}
 }

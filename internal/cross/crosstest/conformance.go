@@ -142,10 +142,10 @@ func conformMonotone(t *testing.T, tgt cross.Target) {
 	}
 }
 
-// conformTraceOwnership checks the collective-trace contract LowerOp
-// relies on: charges land in the owned trace, SetCollectiveTrace swaps
-// where subsequent charges go, and the original trace is untouched
-// after a swap.
+// conformTraceOwnership checks the collective-trace contract every
+// Compiler lowering relies on: charges land in the owned trace,
+// SetCollectiveTrace swaps where subsequent charges go, and the
+// original trace is untouched after a swap.
 func conformTraceOwnership(t *testing.T, tgt cross.Target) {
 	t.Helper()
 	orig := tgt.CollectiveTrace()

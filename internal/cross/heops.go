@@ -76,15 +76,13 @@ func (c *Compiler) keySwitchCounts() KeySwitchCounts {
 	return k
 }
 
-// CostKeySwitch charges one hybrid key switch and returns its time.
+// costKeySwitch charges one hybrid key switch and returns its time.
 // The dnum ModUp digits are independent and round-robin across cores
 // (a digit's INTT → BConv → NTT chain is core-local); the cross-digit
 // inner-product accumulation costs one all-reduce of both accumulator
 // polynomials over the extended basis; ModDown proceeds limb-parallel
 // with a gathered BConv per result polynomial.
-//
-// Deprecated: prefer LowerKeySwitch.
-func (c *Compiler) CostKeySwitch() float64 {
+func (c *Compiler) costKeySwitch() float64 {
 	n := c.P.N()
 	alpha := c.P.Alpha()
 	dnum := c.P.Dnum
@@ -106,50 +104,44 @@ func (c *Compiler) CostKeySwitch() float64 {
 	t += c.allReduce(int64(2 * ext * n * 4))
 	// ModDown ×2 result polynomials, limb-parallel.
 	for p := 0; p < 2; p++ {
-		t += c.CostINTTMat(alpha)
+		t += c.costINTTMat(alpha)
 		t += c.allGather(int64(4 * n * alpha))
 		t += c.costBConvGathered(n, alpha, l, true)
-		t += c.CostNTTMat(l)
-		t += c.CostVecModAdd(l * n) // subtract
-		t += c.CostVecModMul(l * n) // × P⁻¹ mod q_i
+		t += c.costNTTMat(l)
+		t += c.costVecModAdd(l * n) // subtract
+		t += c.costVecModMul(l * n) // × P⁻¹ mod q_i
 	}
 	return t
 }
 
-// CostHEAdd charges a ciphertext addition (2 polys × L limbs,
+// costHEAdd charges a ciphertext addition (2 polys × L limbs,
 // slot-parallel).
-//
-// Deprecated: prefer LowerHEAdd.
-func (c *Compiler) CostHEAdd() float64 {
-	return c.CostVecModAdd(2 * c.P.L * c.P.N())
+func (c *Compiler) costHEAdd() float64 {
+	return c.costVecModAdd(2 * c.P.L * c.P.N())
 }
 
-// CostHEMult charges a full ciphertext multiplication: tensor product
+// costHEMult charges a full ciphertext multiplication: tensor product
 // (slot-parallel), relinearisation (key switch), and rescale
 // (limb-parallel) — §III-A HE Multiplication.
-//
-// Deprecated: prefer LowerHEMult.
-func (c *Compiler) CostHEMult() float64 {
+func (c *Compiler) costHEMult() float64 {
 	n := c.P.N()
 	l := c.P.L
 	// Tensor product: d0 = a₁a₂, d2 = b₁b₂, d1 = a₁b₂ + a₂b₁.
-	t := c.CostVecModMul(4 * l * n)
-	t += c.CostVecModAdd(l * n)
+	t := c.costVecModMul(4 * l * n)
+	t += c.costVecModAdd(l * n)
 	// Relinearise d2.
-	t += c.CostKeySwitch()
+	t += c.costKeySwitch()
 	// Combine and rescale.
-	t += c.CostVecModAdd(2 * l * n)
-	t += c.CostRescale()
+	t += c.costVecModAdd(2 * l * n)
+	t += c.costRescale()
 	return t
 }
 
-// CostRescale charges one rescaling: drop the top limb of both polys —
+// costRescale charges one rescaling: drop the top limb of both polys —
 // the dropped limb is inverse-transformed on one core and replicated
 // (it is the BConv source for every output limb), then the L−1 output
 // limbs proceed limb-parallel.
-//
-// Deprecated: prefer LowerRescale.
-func (c *Compiler) CostRescale() float64 {
+func (c *Compiler) costRescale() float64 {
 	n := c.P.N()
 	l := c.P.L
 	var t float64
@@ -157,43 +149,31 @@ func (c *Compiler) CostRescale() float64 {
 		t += c.costNTTMatAlg(1, c.P.Red, tpusim.CatINTTMatMul)
 		t += c.broadcast(int64(4 * n))
 		t += c.costBConvGathered(n, 1, l-1, true)
-		t += c.CostNTTMat(l - 1)
-		t += c.CostVecModAdd((l - 1) * n)
-		t += c.CostVecModMul((l - 1) * n) // × q_L⁻¹ mod q_i
+		t += c.costNTTMat(l - 1)
+		t += c.costVecModAdd((l - 1) * n)
+		t += c.costVecModMul((l - 1) * n) // × q_L⁻¹ mod q_i
 	}
 	return t
 }
 
-// CostRotate charges a slot rotation: the limb-sharded automorphism
+// costRotate charges a slot rotation: the limb-sharded automorphism
 // permutation on both polynomials (the gather MAT cannot embed, §V-E)
 // plus a key switch with the rotation key.
-//
-// Deprecated: prefer LowerRotate.
-func (c *Compiler) CostRotate() float64 {
-	t := c.CostAutomorphism(2 * c.P.L)
-	t += c.CostKeySwitch()
+func (c *Compiler) costRotate() float64 {
+	t := c.costAutomorphism(2 * c.P.L)
+	t += c.costKeySwitch()
 	return t
 }
 
-// CostConjugate is a rotation by the conjugation Galois element — the
-// same lowering as CostRotate.
-//
-// Deprecated: prefer LowerConjugate.
-func (c *Compiler) CostConjugate() float64 { return c.CostRotate() }
-
-// CostPtMul charges a plaintext-ciphertext multiplication (2 polys ×
+// costPtMul charges a plaintext-ciphertext multiplication (2 polys ×
 // L limbs VecModMul, no key switch).
-//
-// Deprecated: prefer LowerPtMul.
-func (c *Compiler) CostPtMul() float64 {
-	return c.CostVecModMul(2 * c.P.L * c.P.N())
+func (c *Compiler) costPtMul() float64 {
+	return c.costVecModMul(2 * c.P.L * c.P.N())
 }
 
-// CostPtAdd charges a plaintext-ciphertext addition.
-//
-// Deprecated: prefer LowerPtAdd.
-func (c *Compiler) CostPtAdd() float64 {
-	return c.CostVecModAdd(c.P.L * c.P.N())
+// costPtAdd charges a plaintext-ciphertext addition.
+func (c *Compiler) costPtAdd() float64 {
+	return c.costVecModAdd(c.P.L * c.P.N())
 }
 
 // HEOpLatencies bundles the four benchmark operators of Tab. VIII.
@@ -242,25 +222,31 @@ func DefaultBootstrapSchedule(p Params) BootstrapSchedule {
 	}
 }
 
-// CostBootstrap charges one packed bootstrapping.
-//
-// Deprecated: prefer LowerBootstrap.
-func (c *Compiler) CostBootstrap(s BootstrapSchedule) float64 {
+// costBootstrap charges one packed bootstrapping.
+func (c *Compiler) costBootstrap(s BootstrapSchedule) float64 {
 	var t float64
 	for i := 0; i < s.Rotations; i++ {
-		t += c.CostRotate()
+		t += c.costRotate()
 	}
+	return c.costBootstrapTail(t, s)
+}
+
+// costBootstrapTail charges the rotation-free remainder of a
+// bootstrapping (EvalMod multiplications, diagonal plaintext
+// multiplications, additions, rescalings), adding into the caller's
+// running total t so the float sum keeps the schedule's charge order.
+func (c *Compiler) costBootstrapTail(t float64, s BootstrapSchedule) float64 {
 	for i := 0; i < s.Mults; i++ {
-		t += c.CostHEMult()
+		t += c.costHEMult()
 	}
 	for i := 0; i < s.PtMuls; i++ {
-		t += c.CostPtMul()
+		t += c.costPtMul()
 	}
 	for i := 0; i < s.Adds; i++ {
-		t += c.CostHEAdd()
+		t += c.costHEAdd()
 	}
 	for i := 0; i < s.Rescales; i++ {
-		t += c.CostRescale()
+		t += c.costRescale()
 	}
 	return t
 }

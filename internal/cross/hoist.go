@@ -8,28 +8,28 @@ package cross
 // inner product, and the ModDown. The functional twin is
 // ckks.Evaluator.RotateHoisted.
 
-// CostDecompose charges the rotation-independent half of a key switch:
+// costDecompose charges the rotation-independent half of a key switch:
 // INTT of all limbs plus per-digit ModUp (BConv + NTT of the extended
 // limbs).
-func (c *Compiler) CostDecompose() float64 {
+func (c *Compiler) costDecompose() float64 {
 	n := c.P.N()
 	alpha := c.P.Alpha()
 	dnum := c.P.Dnum
 	l := c.P.L
 	ext := l + alpha
 
-	t := c.CostINTTMat(l)
+	t := c.costINTTMat(l)
 	for d := 0; d < dnum; d++ {
-		t += c.CostBConv(n, alpha, ext-alpha, true)
-		t += c.CostNTTMat(ext - alpha)
+		t += c.costBConv(n, alpha, ext-alpha, true)
+		t += c.costNTTMat(ext - alpha)
 	}
 	return t
 }
 
-// CostApplyHoisted charges the per-rotation remainder: the automorphism
+// costApplyHoisted charges the per-rotation remainder: the automorphism
 // gather over the extended digits, the evk inner product, and ModDown
 // of both accumulator polynomials.
-func (c *Compiler) CostApplyHoisted() float64 {
+func (c *Compiler) costApplyHoisted() float64 {
 	n := c.P.N()
 	alpha := c.P.Alpha()
 	dnum := c.P.Dnum
@@ -37,42 +37,42 @@ func (c *Compiler) CostApplyHoisted() float64 {
 	ext := l + alpha
 
 	// Automorphism over every extended digit + the c0 polynomial.
-	t := c.CostAutomorphism(dnum*ext + l)
+	t := c.costAutomorphism(dnum*ext + l)
 	// evk inner product.
-	t += c.CostVecModMul(dnum * 2 * ext * n)
-	t += c.CostVecModAdd((dnum - 1) * 2 * ext * n)
+	t += c.costVecModMul(dnum * 2 * ext * n)
+	t += c.costVecModAdd((dnum - 1) * 2 * ext * n)
 	// ModDown ×2.
 	for p := 0; p < 2; p++ {
-		t += c.CostINTTMat(alpha)
-		t += c.CostBConv(n, alpha, l, true)
-		t += c.CostNTTMat(l)
-		t += c.CostVecModAdd(l * n)
-		t += c.CostVecModMul(l * n)
+		t += c.costINTTMat(alpha)
+		t += c.costBConv(n, alpha, l, true)
+		t += c.costNTTMat(l)
+		t += c.costVecModAdd(l * n)
+		t += c.costVecModMul(l * n)
 	}
 	return t
 }
 
-// CostRotateHoisted charges a batch of rotations of one ciphertext with
+// costRotateHoisted charges a batch of rotations of one ciphertext with
 // a shared decomposition. For count = 1 this is strictly more expensive
-// than CostRotate only by bookkeeping noise; the win grows linearly
+// than costRotate only by bookkeeping noise; the win grows linearly
 // with count (the hoisting ablation of DESIGN.md §5).
-func (c *Compiler) CostRotateHoisted(count int) float64 {
+func (c *Compiler) costRotateHoisted(count int) float64 {
 	if count < 1 {
 		return 0
 	}
-	t := c.CostDecompose()
+	t := c.costDecompose()
 	for i := 0; i < count; i++ {
-		t += c.CostApplyHoisted()
+		t += c.costApplyHoisted()
 	}
 	return t
 }
 
-// CostBootstrapHoisted prices the packed-bootstrapping schedule with
+// costBootstrapHoisted prices the packed-bootstrapping schedule with
 // hoisted BSGS rotations: the schedule's rotations arrive in groups
 // sharing one decomposition (the baby steps of each linear-transform
 // level). groupSize is the average sharing factor; the MAD design
 // shares ~√(rotations per level).
-func (c *Compiler) CostBootstrapHoisted(s BootstrapSchedule, groupSize int) float64 {
+func (c *Compiler) costBootstrapHoisted(s BootstrapSchedule, groupSize int) float64 {
 	if groupSize < 1 {
 		groupSize = 1
 	}
@@ -83,19 +83,7 @@ func (c *Compiler) CostBootstrapHoisted(s BootstrapSchedule, groupSize int) floa
 		if remaining > groupSize {
 			remaining = groupSize
 		}
-		t += c.CostRotateHoisted(remaining)
+		t += c.costRotateHoisted(remaining)
 	}
-	for i := 0; i < s.Mults; i++ {
-		t += c.CostHEMult()
-	}
-	for i := 0; i < s.PtMuls; i++ {
-		t += c.CostPtMul()
-	}
-	for i := 0; i < s.Adds; i++ {
-		t += c.CostHEAdd()
-	}
-	for i := 0; i < s.Rescales; i++ {
-		t += c.CostRescale()
-	}
-	return t
+	return c.costBootstrapTail(t, s)
 }

@@ -8,9 +8,9 @@ import (
 
 func TestHoistingAmortizesDecomposition(t *testing.T) {
 	c := v6eCompiler(t, SetD())
-	plain := c.Snapshot(c.CostRotate)
-	h1 := c.Snapshot(func() float64 { return c.CostRotateHoisted(1) })
-	h8 := c.Snapshot(func() float64 { return c.CostRotateHoisted(8) })
+	plain := c.LowerRotate().Total
+	h1 := c.LowerRotateHoisted(1).Total
+	h8 := c.LowerRotateHoisted(8).Total
 
 	// One hoisted rotation costs about one plain rotation.
 	if ratio := h1 / plain; ratio < 0.7 || ratio > 1.5 {
@@ -23,7 +23,7 @@ func TestHoistingAmortizesDecomposition(t *testing.T) {
 	// And the amortized cost decreases monotonically with group size.
 	prev := h1
 	for _, k := range []int{2, 4, 8, 16} {
-		hk := c.Snapshot(func() float64 { return c.CostRotateHoisted(k) })
+		hk := c.LowerRotateHoisted(k).Total
 		if hk/float64(k) >= prev {
 			t.Errorf("amortized hoisted cost not decreasing at count %d", k)
 		}
@@ -33,13 +33,13 @@ func TestHoistingAmortizesDecomposition(t *testing.T) {
 
 func TestHoistedDecomposeSplit(t *testing.T) {
 	c := v6eCompiler(t, SetB())
-	dec := c.Snapshot(c.CostDecompose)
-	app := c.Snapshot(c.CostApplyHoisted)
-	h3 := c.Snapshot(func() float64 { return c.CostRotateHoisted(3) })
+	dec := c.lowerOp("Decompose", c.costDecompose).Total
+	app := c.lowerOp("ApplyHoisted", c.costApplyHoisted).Total
+	h3 := c.LowerRotateHoisted(3).Total
 	if diff := h3 - (dec + 3*app); diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("hoisted cost not compositional: %.3g vs %.3g", h3, dec+3*app)
 	}
-	if c.Snapshot(func() float64 { return c.CostRotateHoisted(0) }) != 0 {
+	if c.LowerRotateHoisted(0).Total != 0 {
 		t.Error("zero rotations should cost nothing")
 	}
 }
@@ -47,13 +47,13 @@ func TestHoistedDecomposeSplit(t *testing.T) {
 func TestBootstrapHoistingHelps(t *testing.T) {
 	c := v6eCompiler(t, SetD())
 	s := DefaultBootstrapSchedule(SetD())
-	plain := c.Snapshot(func() float64 { return c.CostBootstrap(s) })
-	hoisted := c.Snapshot(func() float64 { return c.CostBootstrapHoisted(s, 8) })
+	plain := c.LowerBootstrap(s).Total
+	hoisted := c.LowerBootstrapHoisted(s, 8).Total
 	if hoisted >= plain {
 		t.Errorf("hoisted bootstrap %.3g not cheaper than plain %.3g", hoisted, plain)
 	}
 	// groupSize 1 degenerates to roughly the plain schedule.
-	g1 := c.Snapshot(func() float64 { return c.CostBootstrapHoisted(s, 1) })
+	g1 := c.LowerBootstrapHoisted(s, 1).Total
 	if ratio := g1 / plain; ratio < 0.8 || ratio > 1.3 {
 		t.Errorf("group-1 hoisted bootstrap %.2f× plain", ratio)
 	}

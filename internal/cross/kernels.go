@@ -57,11 +57,9 @@ type Compiler struct {
 	Dev *tpusim.Device
 	P   Params
 
-	// mu serialises LowerOp: a lowering swaps the live traces and the
+	// mu serialises lowerOp: a lowering swaps the live traces and the
 	// kernel tally in place, so concurrent Lower* calls on one compiler
-	// (sweep workers sharing a target) must not interleave. The
-	// deprecated Cost* methods remain unsynchronised when called
-	// directly — concurrent callers go through the Lower* face.
+	// (sweep workers sharing a target) must not interleave.
 	mu sync.Mutex
 
 	// tally counts kernel invocations for the Schedule IR.
@@ -78,14 +76,6 @@ func Compile(t Target, p Params) (*Compiler, error) {
 		return nil, err
 	}
 	return &Compiler{T: t, Dev: t.Core(), P: p}, nil
-}
-
-// New builds a compiler for a single tensor core.
-//
-// Deprecated-ish: New remains for convenience; Compile is the general
-// entry point and accepts pods too.
-func New(dev *tpusim.Device, p Params) (*Compiler, error) {
-	return Compile(dev, p)
 }
 
 // NumCores returns the target's core count.
@@ -126,16 +116,13 @@ func (c *Compiler) broadcast(bytes int64) float64 {
 
 // --- VecModMul (Fig. 13a) ---
 
-// CostVecModMul returns the simulated time of an n-element modular
+// costVecModMul returns the simulated time of an n-element modular
 // multiplication of two runtime vectors under the configured reduction
 // algorithm, with the element range sharded across the target's cores
 // (slot parallelism — no communication). BATLazy routes the reduction
 // through the MXU (a skinny (n, K, K) matmul) — faithfully reproducing
 // why it loses on the TPU's 128-wide tiles (§V-F2).
-//
-// Deprecated: equivalent to LowerOp("VecModMul", …).Total; prefer the
-// Schedule-returning Lower* methods for new code.
-func (c *Compiler) CostVecModMul(n int) float64 {
+func (c *Compiler) costVecModMul(n int) float64 {
 	return c.costVecModMulAlg(c.shard(n), c.P.Red)
 }
 
@@ -156,11 +143,9 @@ func (c *Compiler) costVecModMulAlg(n int, alg modarith.ReduceAlgorithm) float64
 	return c.Dev.Dispatch(tpusim.CatOther) + c.Dev.VecOp(tpusim.CatVecModOps, n, opsMul32+redOps(alg))
 }
 
-// CostVecModAdd returns the time of an n-element modular addition,
+// costVecModAdd returns the time of an n-element modular addition,
 // slot-sharded across the target.
-//
-// Deprecated: prefer the Schedule-returning Lower* methods.
-func (c *Compiler) CostVecModAdd(n int) float64 {
+func (c *Compiler) costVecModAdd(n int) float64 {
 	return c.costVecModAddLocal(c.shard(n))
 }
 
@@ -176,10 +161,10 @@ func (c *Compiler) costVecModAddLocal(n int) float64 {
 // benchmark runs on one tensor core); they charge the representative
 // core whatever the target.
 
-// CostMatModMulBAT lowers an (H, V, W) modular matmul with pre-known
+// costMatModMulBAT lowers an (H, V, W) modular matmul with pre-known
 // left operand through BAT: one dense (KH, KV, W) INT8 matmul, runtime
 // chunk-stacking of the right operand only, and a K-length merge chain.
-func (c *Compiler) CostMatModMulBAT(h, v, w int) float64 {
+func (c *Compiler) costMatModMulBAT(h, v, w int) float64 {
 	k := c.P.K()
 	c.tally.MatMuls++
 	t := c.Dev.Dispatch(tpusim.CatOther)
@@ -192,12 +177,12 @@ func (c *Compiler) CostMatModMulBAT(h, v, w int) float64 {
 	return t
 }
 
-// CostMatModMulBaseline lowers the same matmul the SoTA GPU way
+// costMatModMulBaseline lowers the same matmul the SoTA GPU way
 // (Fig. 7 left): the sparse Toeplitz expansion has (2K−1)/K more rows
 // (~43% zeros), the left operand is chunk-converted at runtime because
 // the sparse form isn't cached as bytes, and the carry chain is double
 // length (2K−1 merges).
-func (c *Compiler) CostMatModMulBaseline(h, v, w int) float64 {
+func (c *Compiler) costMatModMulBaseline(h, v, w int) float64 {
 	k := c.P.K()
 	c.tally.MatMuls++
 	rows := (2*k - 1) * h
@@ -212,7 +197,7 @@ func (c *Compiler) CostMatModMulBaseline(h, v, w int) float64 {
 
 // --- BConv step 2 (Tab. VI) ---
 
-// CostBConv returns the simulated time of a full basis conversion of an
+// costBConv returns the simulated time of a full basis conversion of an
 // N-coefficient polynomial from l to lOut limbs. Step 1 is
 // limb-parallel; step 2 multiplies ALL source limbs into every
 // destination limb, so on a multi-core target the coefficient-domain
@@ -220,13 +205,11 @@ func (c *Compiler) CostMatModMulBaseline(h, v, w int) float64 {
 // destination limbs. With BAT the step-2 (N, L, L')-ModMatMul runs on
 // the MXU as (N, KL, KL'); without, it runs as L·L' scalar passes on
 // the VPU (§III-C1).
-//
-// Deprecated: prefer LowerBConv, which returns the full Schedule.
-func (c *Compiler) CostBConv(n, l, lOut int, useBAT bool) float64 {
+func (c *Compiler) costBConv(n, l, lOut int, useBAT bool) float64 {
 	return c.costBConvGathered(n, l, lOut, useBAT) + c.allGather(int64(4*n*l))
 }
 
-// costBConvGathered is CostBConv minus the all-gather (the caller has
+// costBConvGathered is costBConv minus the all-gather (the caller has
 // already paid to replicate the source): step 1 limb-sharded, then the
 // step-2 matmul over the full source with the output limbs sharded.
 func (c *Compiler) costBConvGathered(n, l, lOut int, useBAT bool) float64 {
@@ -278,24 +261,20 @@ func (c *Compiler) NTTWorkingSetBytes(batch int) int64 {
 	return params + int64(batch)*perBatch
 }
 
-// CostNTTMat returns the simulated latency of `batch` layout-invariant
+// costNTTMat returns the simulated latency of `batch` layout-invariant
 // 3-step NTTs of one limb (Fig. 10 row 3), round-robined across the
 // target's cores: each core transforms its ⌈batch/n⌉ share and the
 // outputs stay sharded (element-wise consumers are layout- and
 // placement-agnostic, the MAT property extended across the pod). On
 // one core: two BAT INT8 matmuls on the MXU, the element-wise twist
 // and Montgomery reductions on the VPU, and zero reordering.
-//
-// Deprecated: prefer LowerNTT, which returns the full Schedule.
-func (c *Compiler) CostNTTMat(batch int) float64 {
+func (c *Compiler) costNTTMat(batch int) float64 {
 	return c.costNTTMatAlg(c.shard(batch), c.P.Red, tpusim.CatNTTMatMul)
 }
 
-// CostINTTMat is the sharded inverse transform (same structure,
+// costINTTMat is the sharded inverse transform (same structure,
 // inverse matrices) charged to the INTT category.
-//
-// Deprecated: prefer LowerINTT.
-func (c *Compiler) CostINTTMat(batch int) float64 {
+func (c *Compiler) costINTTMat(batch int) float64 {
 	return c.costNTTMatAlg(c.shard(batch), c.P.Red, tpusim.CatINTTMatMul)
 }
 
@@ -361,19 +340,12 @@ func (c *Compiler) costVecModMulConst(n int, alg modarith.ReduceAlgorithm) float
 	return c.Dev.VecOp(tpusim.CatVecModOps, n, opsMul32+redOps(alg))
 }
 
-// CostNTTMatWithRed is the Fig. 13b ablation entry: the MAT NTT with an
-// explicit reduction-algorithm override (core-local — the ablation is a
-// single-core experiment).
-func (c *Compiler) CostNTTMatWithRed(batch int, alg modarith.ReduceAlgorithm) float64 {
-	return c.costNTTMatAlg(batch, alg, tpusim.CatNTTMatMul)
-}
-
-// CostNTTRadix2 returns the simulated latency of `batch` radix-2
+// costNTTRadix2 returns the simulated latency of `batch` radix-2
 // Cooley–Tukey NTTs (Alg. 3) on one core: log2(N) stages of VPU
 // butterflies each followed by a bit-complement shuffle whose block
 // size halves per stage — the fine-grained reordering that collapses
 // XLU utilization (§F1, Tab. X).
-func (c *Compiler) CostNTTRadix2(batch int) float64 {
+func (c *Compiler) costNTTRadix2(batch int) float64 {
 	n := c.P.N()
 	var t float64
 	butterflyOps := opsMul32 + redOps(c.P.Red) + opsButterflyExtra
@@ -388,10 +360,10 @@ func (c *Compiler) CostNTTRadix2(batch int) float64 {
 	return t
 }
 
-// CostNTT4Step returns the simulated latency of the GPU-style 4-step
+// costNTT4Step returns the simulated latency of the GPU-style 4-step
 // NTT on one core: the same matrix pipeline as MAT plus the explicit
 // runtime transpose and bit-reverse shuffles MAT eliminates (§III-D1).
-func (c *Compiler) CostNTT4Step(batch int) float64 {
+func (c *Compiler) costNTT4Step(batch int) float64 {
 	n := c.P.N()
 	t := c.costNTTMatAlg(batch, c.P.Red, tpusim.CatNTTMatMul)
 	// Runtime transpose of the R×C tile per batch element.
@@ -404,11 +376,11 @@ func (c *Compiler) CostNTT4Step(batch int) float64 {
 	return t
 }
 
-// CostAutomorphism returns the cost of τ_t on `limbs` polynomial limbs,
+// costAutomorphism returns the cost of τ_t on `limbs` polynomial limbs,
 // limb-sharded across the target: MAT cannot embed a general
 // automorphism, so each limb lowers to a random gather (§V-E) —
 // Fig. 12's 21% Permutation share.
-func (c *Compiler) CostAutomorphism(limbs int) float64 {
+func (c *Compiler) costAutomorphism(limbs int) float64 {
 	c.tally.Gathers++
 	return c.Dev.Dispatch(tpusim.CatOther) +
 		c.Dev.Gather(tpusim.CatPermutation, c.shard(limbs)*c.P.N())
@@ -416,8 +388,7 @@ func (c *Compiler) CostAutomorphism(limbs int) float64 {
 
 // NTTThroughput returns NTTs/second at a batch size on the target.
 func (c *Compiler) NTTThroughput(batch int) float64 {
-	lat := c.snapshot(func() float64 { return c.CostNTTMat(batch) })
-	return float64(batch) / lat
+	return float64(batch) / c.LowerNTT(batch).Total
 }
 
 // BestNTTBatch sweeps powers of two up to maxBatch and returns the
@@ -432,15 +403,3 @@ func (c *Compiler) BestNTTBatch(maxBatch int) (int, float64) {
 	}
 	return best, bestThr
 }
-
-// snapshot runs a costing closure without polluting the target's
-// traces, returning only the elapsed simulated time.
-func (c *Compiler) snapshot(f func() float64) float64 {
-	return c.LowerOp("snapshot", f).Total
-}
-
-// Snapshot exposes trace-isolated costing for harness code.
-//
-// Deprecated: equivalent to LowerOp(…).Total; prefer the Lower* methods
-// which also return the breakdown and kernel counts.
-func (c *Compiler) Snapshot(f func() float64) float64 { return c.snapshot(f) }

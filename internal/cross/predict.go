@@ -63,23 +63,23 @@ func (c *Compiler) PredictKernel(kernel string) (*Schedule, error) {
 	var f func() float64
 	switch kernel {
 	case KernelNTT, KernelINTT:
-		f = func() float64 { return c.CostNTTRadix2(1) }
+		f = func() float64 { return c.costNTTRadix2(1) }
 	case KernelVecMulShoup:
 		f = func() float64 { return c.costVecModMulAlg(c.shard(n), modarith.Shoup) }
 	case KernelVecMulBarrett:
 		f = func() float64 { return c.costVecModMulAlg(c.shard(n), modarith.Barrett) }
 	case KernelVecAdd:
-		f = func() float64 { return c.CostVecModAdd(n) }
+		f = func() float64 { return c.costVecModAdd(n) }
 	case KernelAutomorphism:
-		f = func() float64 { return c.CostAutomorphism(1) }
+		f = func() float64 { return c.costAutomorphism(1) }
 	case KernelMatNTT:
-		f = func() float64 { return c.CostNTTMat(1) }
+		f = func() float64 { return c.costNTTMat(1) }
 	case KernelBATMatMul:
-		f = func() float64 { return c.CostMatModMulBAT(64, 64, 64) }
+		f = func() float64 { return c.costMatModMulBAT(64, 64, 64) }
 	case KernelBConv:
-		f = func() float64 { return c.CostBConv(n, 2, 2, false) }
+		f = func() float64 { return c.costBConv(n, 2, 2, false) }
 	default:
 		return nil, fmt.Errorf("cross: unknown calibration kernel %q (have %v)", kernel, CalibKernels())
 	}
-	return c.LowerOp(kernel, f), nil
+	return c.lowerOp(kernel, f), nil
 }

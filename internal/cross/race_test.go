@@ -10,7 +10,7 @@ import (
 // The sweep engine lowers concurrently on shared compilers, programs,
 // and a shared schedule cache. These tests are the `go test -race`
 // tripwires for that path: before the Compiler/Program memoization was
-// mutex-guarded, each of them raced on the live trace swap in LowerOp
+// mutex-guarded, each of them raced on the live trace swap in lowerOp
 // or on the program memo map.
 
 // TestConcurrentLowerOnSharedCompiler hammers one compiler from many
@@ -50,7 +50,7 @@ func TestConcurrentLowerOnSharedCompiler(t *testing.T) {
 }
 
 // TestConcurrentOverlappedLower is the DAG engine's race tripwire:
-// the observer attach/detach and DAG build/execute in LowerOp are
+// the observer attach/detach and DAG build/execute in lowerOp are
 // compiler-global state under the same lock as the trace swap, and the
 // overlapped makespan must be as deterministic under concurrency as
 // the serial total.

@@ -86,11 +86,10 @@ func (k KernelCounts) String() string {
 // Schedule is the compiler's lowering artifact: one HE operator (or a
 // whole Program) lowered onto a Target, carrying the end-to-end
 // latency, the per-category compute breakdown, kernel-invocation
-// counts, and the shard/collective metadata of the lowering. Where the
-// legacy Cost* methods return a bare float64, a Schedule is the
-// structured IR downstream consumers (harness reports, workload
-// estimators, cmd tools, serving-scale batching) compose without
-// re-deriving anything.
+// counts, and the shard/collective metadata of the lowering. It is the
+// only priced form of an operator: downstream consumers (harness
+// reports, workload estimators, cmd tools, serving-scale batching)
+// compose Schedules without re-deriving anything.
 type Schedule struct {
 	Op     string // operator name ("HE-Mult", "Program[…]", …)
 	Target string // target name ("TPUv6e", "TPUv6e-4")
@@ -132,16 +131,8 @@ type Schedule struct {
 // Compute returns the core-compute share of Total (Total − Collective).
 func (s *Schedule) Compute() float64 { return s.Total - s.Collective }
 
-// SerialTotal returns the fully serialized latency — the pre-DAG
-// additive model, bit-identical to Total (golden-tested against
-// BENCH_baseline.json).
-func (s *Schedule) SerialTotal() float64 { return s.Total }
-
-// OverlappedTotal returns the overlap-aware latency (the DAG makespan).
-func (s *Schedule) OverlappedTotal() float64 { return s.Overlapped }
-
 // OverlapFraction reports the share of the serial latency hidden by
-// overlap: (SerialTotal − OverlappedTotal) / SerialTotal, clamped to
+// overlap: (Total − Overlapped) / Total, clamped to
 // [0, 1]; zero for an empty schedule.
 func (s *Schedule) OverlapFraction() float64 {
 	if s.Total <= 0 {
@@ -158,7 +149,7 @@ func (s *Schedule) OverlapFraction() float64 {
 }
 
 // PricedTotal selects the latency downstream consumers charge for:
-// OverlappedTotal when overlap is set, SerialTotal otherwise. This is
+// Overlapped when overlap is set, the serial Total otherwise. This is
 // the single switch sweep/serve/harness/crossbench price through.
 func (s *Schedule) PricedTotal(overlap bool) float64 {
 	if overlap {
@@ -191,24 +182,24 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
-// LowerOp lowers an arbitrary costing closure into a Schedule: the
+// lowerOp lowers an arbitrary costing closure into a Schedule: the
 // closure runs against fresh compute and collective traces (the live
 // traces are untouched) and the elapsed time, breakdown, and kernel
 // counts are captured. The charge stream is simultaneously recorded as
 // a segment DAG (dag.go) and executed by the discrete-event engine
 // (engine.go) to produce the overlapped latency; Total remains the
-// plain serial sum. This is the generic escape hatch; the named Lower*
-// methods cover the standard operators.
-func (c *Compiler) LowerOp(op string, f func() float64) *Schedule {
+// plain serial sum. Every exported Lower* method is a named wrapper
+// around it.
+func (c *Compiler) lowerOp(op string, f func() float64) *Schedule {
 	// One lowering at a time per compiler: the trace swap and tally
 	// reset below are compiler-global state. Cost closures never call
-	// LowerOp back (they compose Cost* methods only), so the lock is
+	// lowerOp back (they compose cost* methods only), so the lock is
 	// not reentered.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	// Both fresh traces feed one DAG builder, so compute charges and
-	// collective charges interleave in true issue order — LowerOp holds
+	// collective charges interleave in true issue order — lowerOp holds
 	// the compiler lock, so the stream is single-goroutine.
 	b := newDAGBuilder()
 
@@ -284,70 +275,98 @@ func (c *Compiler) LowerOp(op string, f func() float64) *Schedule {
 // --- HE operator schedules (Tab. VIII) ---
 
 // LowerHEAdd lowers a ciphertext addition.
-func (c *Compiler) LowerHEAdd() *Schedule { return c.LowerOp("HE-Add", c.CostHEAdd) }
+func (c *Compiler) LowerHEAdd() *Schedule { return c.lowerOp("HE-Add", c.costHEAdd) }
 
 // LowerHEMult lowers a full ciphertext multiplication (tensor product,
 // relinearisation, rescale).
-func (c *Compiler) LowerHEMult() *Schedule { return c.LowerOp("HE-Mult", c.CostHEMult) }
+func (c *Compiler) LowerHEMult() *Schedule { return c.lowerOp("HE-Mult", c.costHEMult) }
 
 // LowerRescale lowers one rescaling.
-func (c *Compiler) LowerRescale() *Schedule { return c.LowerOp("Rescale", c.CostRescale) }
+func (c *Compiler) LowerRescale() *Schedule { return c.lowerOp("Rescale", c.costRescale) }
 
 // LowerRotate lowers a slot rotation (automorphism + key switch).
-func (c *Compiler) LowerRotate() *Schedule { return c.LowerOp("Rotate", c.CostRotate) }
+func (c *Compiler) LowerRotate() *Schedule { return c.lowerOp("Rotate", c.costRotate) }
 
 // LowerConjugate lowers the conjugation rotation.
-func (c *Compiler) LowerConjugate() *Schedule { return c.LowerOp("Conjugate", c.CostConjugate) }
+func (c *Compiler) LowerConjugate() *Schedule { return c.lowerOp("Conjugate", c.costRotate) }
 
 // LowerKeySwitch lowers one hybrid key switch.
-func (c *Compiler) LowerKeySwitch() *Schedule { return c.LowerOp("KeySwitch", c.CostKeySwitch) }
+func (c *Compiler) LowerKeySwitch() *Schedule { return c.lowerOp("KeySwitch", c.costKeySwitch) }
 
 // LowerPtMul lowers a plaintext-ciphertext multiplication.
-func (c *Compiler) LowerPtMul() *Schedule { return c.LowerOp("PtMul", c.CostPtMul) }
+func (c *Compiler) LowerPtMul() *Schedule { return c.lowerOp("PtMul", c.costPtMul) }
 
 // LowerPtAdd lowers a plaintext-ciphertext addition.
-func (c *Compiler) LowerPtAdd() *Schedule { return c.LowerOp("PtAdd", c.CostPtAdd) }
+func (c *Compiler) LowerPtAdd() *Schedule { return c.lowerOp("PtAdd", c.costPtAdd) }
 
 // --- kernel schedules ---
 
 // LowerNTT lowers a batch of MAT NTTs, limb-sharded across the target.
 func (c *Compiler) LowerNTT(batch int) *Schedule {
-	return c.LowerOp(fmt.Sprintf("NTT×%d", batch), func() float64 { return c.CostNTTMat(batch) })
+	return c.lowerOp(fmt.Sprintf("NTT×%d", batch), func() float64 { return c.costNTTMat(batch) })
 }
 
 // LowerINTT lowers a batch of inverse transforms.
 func (c *Compiler) LowerINTT(batch int) *Schedule {
-	return c.LowerOp(fmt.Sprintf("INTT×%d", batch), func() float64 { return c.CostINTTMat(batch) })
+	return c.lowerOp(fmt.Sprintf("INTT×%d", batch), func() float64 { return c.costINTTMat(batch) })
 }
 
 // LowerBConv lowers a basis conversion of an N-coefficient polynomial
 // from l to lOut limbs.
 func (c *Compiler) LowerBConv(n, l, lOut int, useBAT bool) *Schedule {
-	return c.LowerOp(fmt.Sprintf("BConv %d→%d", l, lOut),
-		func() float64 { return c.CostBConv(n, l, lOut, useBAT) })
+	return c.lowerOp(fmt.Sprintf("BConv %d→%d", l, lOut),
+		func() float64 { return c.costBConv(n, l, lOut, useBAT) })
+}
+
+// LowerVecModMul lowers an n-element modular multiplication under the
+// configured reduction algorithm (the Fig. 13a ablation kernel).
+func (c *Compiler) LowerVecModMul(n int) *Schedule {
+	return c.lowerOp(fmt.Sprintf("VecModMul×%d", n), func() float64 { return c.costVecModMul(n) })
+}
+
+// LowerMatModMul lowers an (h, v, w) modular matmul with a pre-known
+// left operand, through BAT or the sparse Toeplitz baseline (Tab. V).
+// Single-core analysis kernel: it charges the representative core.
+func (c *Compiler) LowerMatModMul(h, v, w int, useBAT bool) *Schedule {
+	if useBAT {
+		return c.lowerOp("ModMatMul-BAT", func() float64 { return c.costMatModMulBAT(h, v, w) })
+	}
+	return c.lowerOp("ModMatMul-baseline", func() float64 { return c.costMatModMulBaseline(h, v, w) })
+}
+
+// LowerNTTRadix2 lowers a batch of radix-2 Cooley–Tukey NTTs on one
+// core (the Tab. X baseline).
+func (c *Compiler) LowerNTTRadix2(batch int) *Schedule {
+	return c.lowerOp(fmt.Sprintf("NTT-radix2×%d", batch), func() float64 { return c.costNTTRadix2(batch) })
+}
+
+// LowerNTT4Step lowers a batch of GPU-style 4-step NTTs on one core
+// (MAT plus the explicit transpose and bit-reverse it eliminates).
+func (c *Compiler) LowerNTT4Step(batch int) *Schedule {
+	return c.lowerOp(fmt.Sprintf("NTT-4step×%d", batch), func() float64 { return c.costNTT4Step(batch) })
 }
 
 // LowerAutomorphism lowers τ_t on `limbs` polynomial limbs.
 func (c *Compiler) LowerAutomorphism(limbs int) *Schedule {
-	return c.LowerOp("Automorphism", func() float64 { return c.CostAutomorphism(limbs) })
+	return c.lowerOp("Automorphism", func() float64 { return c.costAutomorphism(limbs) })
 }
 
 // --- composite schedules ---
 
 // LowerBootstrap lowers one packed bootstrapping.
 func (c *Compiler) LowerBootstrap(s BootstrapSchedule) *Schedule {
-	return c.LowerOp("Bootstrap", func() float64 { return c.CostBootstrap(s) })
+	return c.lowerOp("Bootstrap", func() float64 { return c.costBootstrap(s) })
 }
 
 // LowerBootstrapHoisted lowers the packed bootstrapping with hoisted
 // BSGS rotation groups of the given size.
 func (c *Compiler) LowerBootstrapHoisted(s BootstrapSchedule, groupSize int) *Schedule {
-	return c.LowerOp("Bootstrap(hoisted)", func() float64 { return c.CostBootstrapHoisted(s, groupSize) })
+	return c.lowerOp("Bootstrap(hoisted)", func() float64 { return c.costBootstrapHoisted(s, groupSize) })
 }
 
 // LowerRotateHoisted lowers `count` rotations of one ciphertext with a
 // shared decomposition.
 func (c *Compiler) LowerRotateHoisted(count int) *Schedule {
-	return c.LowerOp(fmt.Sprintf("Rotate(hoisted)×%d", count),
-		func() float64 { return c.CostRotateHoisted(count) })
+	return c.lowerOp(fmt.Sprintf("Rotate(hoisted)×%d", count),
+		func() float64 { return c.costRotateHoisted(count) })
 }

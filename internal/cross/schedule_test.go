@@ -7,52 +7,6 @@ import (
 	"cross/internal/tpusim"
 )
 
-// --- Golden equality: every legacy Cost* wrapper returns bit-identical
-// values to its Schedule.Total replacement, on SetA–SetD × all four TPU
-// specs (the api_redesign acceptance bar). ---
-
-func TestGoldenCostEqualsScheduleTotal(t *testing.T) {
-	for _, spec := range tpusim.AllSpecs() {
-		for _, name := range []string{"A", "B", "C", "D"} {
-			p, err := NamedSet(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := New(tpusim.NewDevice(spec), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs := DefaultBootstrapSchedule(p)
-			pairs := []struct {
-				op     string
-				legacy float64
-				sched  *Schedule
-			}{
-				{"HE-Add", c.Snapshot(c.CostHEAdd), c.LowerHEAdd()},
-				{"HE-Mult", c.Snapshot(c.CostHEMult), c.LowerHEMult()},
-				{"Rescale", c.Snapshot(c.CostRescale), c.LowerRescale()},
-				{"Rotate", c.Snapshot(c.CostRotate), c.LowerRotate()},
-				{"Conjugate", c.Snapshot(c.CostConjugate), c.LowerConjugate()},
-				{"KeySwitch", c.Snapshot(c.CostKeySwitch), c.LowerKeySwitch()},
-				{"PtMul", c.Snapshot(c.CostPtMul), c.LowerPtMul()},
-				{"PtAdd", c.Snapshot(c.CostPtAdd), c.LowerPtAdd()},
-				{"NTT×8", c.Snapshot(func() float64 { return c.CostNTTMat(8) }), c.LowerNTT(8)},
-				{"INTT×8", c.Snapshot(func() float64 { return c.CostINTTMat(8) }), c.LowerINTT(8)},
-				{"BConv", c.Snapshot(func() float64 { return c.CostBConv(p.N(), 4, 8, true) }),
-					c.LowerBConv(p.N(), 4, 8, true)},
-				{"Bootstrap", c.Snapshot(func() float64 { return c.CostBootstrap(bs) }), c.LowerBootstrap(bs)},
-				{"RotateHoisted", c.Snapshot(func() float64 { return c.CostRotateHoisted(4) }), c.LowerRotateHoisted(4)},
-			}
-			for _, pr := range pairs {
-				if pr.legacy != pr.sched.Total {
-					t.Errorf("%s Set%s %s: legacy %g != schedule %g",
-						spec.Name, name, pr.op, pr.legacy, pr.sched.Total)
-				}
-			}
-		}
-	}
-}
-
 // A 1-core Pod schedule must be bit-identical to the Device schedule:
 // both satisfy Target and share one lowering code path, where the
 // 1-core pod's shards are whole and its collectives free.
@@ -131,8 +85,8 @@ func TestDeviceCollectiveTraceOwned(t *testing.T) {
 		t.Errorf("device/1-core-pod schedules diverge: %g/%g collective %g/%g",
 			sd.Total, sp.Total, sd.Collective, sp.Collective)
 	}
-	if cd.CollectiveSeconds() != 0 || cp.CollectiveSeconds() != 0 {
-		t.Error("CollectiveSeconds non-zero on collective-free targets")
+	if dev.CollectiveTrace().Total() != 0 || pod.CollectiveTrace().Total() != 0 {
+		t.Error("collective time charged on collective-free targets")
 	}
 	// Lowering restores the live collective trace on both targets.
 	if dev.CollectiveTrace() == nil || pod.CollectiveTrace() == nil {
@@ -183,7 +137,7 @@ func TestScheduleMetadata(t *testing.T) {
 		t.Errorf("String() missing fields: %s", s.String())
 	}
 	// Lowering must not pollute the live traces.
-	if c.Dev.Trace.Total() != 0 || c.CollectiveSeconds() != 0 {
+	if c.Dev.Trace.Total() != 0 || c.T.CollectiveTrace().Total() != 0 {
 		t.Error("LowerHEMult polluted the live traces")
 	}
 }

@@ -22,3 +22,13 @@ func TestTargetConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestCompileRejectsTypedNil checks that typed-nil GPU targets are
+// rejected by cross.Compile with an error, not a nil dereference.
+func TestCompileRejectsTypedNil(t *testing.T) {
+	for _, tgt := range []cross.Target{(*gpusim.Device)(nil), (*gpusim.Node)(nil)} {
+		if _, err := cross.Compile(tgt, cross.SetA()); err == nil {
+			t.Errorf("Compile(%T(nil)) succeeded, want an error", tgt)
+		}
+	}
+}

@@ -23,8 +23,15 @@ func NewDevice(spec Spec) *Device {
 	}
 }
 
-// Core exposes the roofline core the kernel lowerings price against.
-func (d *Device) Core() *tpusim.Device { return d.core }
+// Core exposes the roofline core the kernel lowerings price against
+// (nil on a nil Device, so cross.Compile rejects it instead of
+// panicking).
+func (d *Device) Core() *tpusim.Device {
+	if d == nil {
+		return nil
+	}
+	return d.core
+}
 
 // NumCores reports the target's parallelism degree: one GPU.
 func (d *Device) NumCores() int { return 1 }

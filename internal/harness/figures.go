@@ -101,7 +101,7 @@ func Fig13a() Report {
 			pp := p
 			pp.Red = alg
 			c := newCompiler(tpusim.TPUv6e(), pp)
-			lat[i] = c.LowerOp("VecModMul", func() float64 { return c.CostVecModMul(elems * b) }).Total
+			lat[i] = c.LowerVecModMul(elems * b).Total
 		}
 		if !(lat[1] < lat[0] && lat[0] < lat[2] && lat[1] < lat[3]) {
 			montBest = false
@@ -124,8 +124,9 @@ func Fig13b() Report {
 	for b := 1; b <= 128; b <<= 1 {
 		var lat [4]float64
 		for i, alg := range algs {
-			c := newCompiler(tpusim.TPUv6e(), p)
-			lat[i] = c.LowerOp("NTT-ablation", func() float64 { return c.CostNTTMatWithRed(b, alg) }).Total
+			pp := p
+			pp.Red = alg
+			lat[i] = newCompiler(tpusim.TPUv6e(), pp).LowerNTT(b).Total
 		}
 		if b > 1 && !(lat[1] <= lat[0] && lat[0] <= lat[2]) {
 			montBest = false

@@ -70,12 +70,12 @@ func coreScalingOn(device string) Report {
 			if cores > 1 && ntt >= nttBase {
 				ok = false
 			}
-			if ms.OverlappedTotal() > ms.SerialTotal() {
+			if ms.Overlapped > ms.Total {
 				ok = false
 			}
 			t.row("Set "+name, fmt.Sprint(cores), us(mult),
 				fmt.Sprintf("%.2f×", multBase/mult),
-				us(ms.OverlappedTotal()),
+				us(ms.Overlapped),
 				fmt.Sprintf("%.1f%%", 100*ms.OverlapFraction()),
 				us(ntt), fmt.Sprintf("%.2f×", nttBase/ntt),
 				us(ici))

@@ -32,8 +32,8 @@ func TableV() Report {
 	t := newTable("H", "V", "W", "baseline µs", "BAT µs", "speedup", "paper speedup")
 	allWin := true
 	for _, row := range paperTableV {
-		base := c.LowerOp("ModMatMul-baseline", func() float64 { return c.CostMatModMulBaseline(row.H, row.V, row.W) }).Total
-		bat := c.LowerOp("ModMatMul-BAT", func() float64 { return c.CostMatModMulBAT(row.H, row.V, row.W) }).Total
+		base := c.LowerMatModMul(row.H, row.V, row.W, false).Total
+		bat := c.LowerMatModMul(row.H, row.V, row.W, true).Total
 		if bat >= base {
 			allWin = false
 		}
@@ -146,7 +146,7 @@ func TableX() Report {
 		p.R = row.R
 		p.C = n / row.R
 		c := newCompiler(tpusim.TPUv4(), p)
-		radix2 := c.LowerOp("NTT-radix2", func() float64 { return c.CostNTTRadix2(128) }).Total
+		radix2 := c.LowerNTTRadix2(128).Total
 		mat := c.LowerNTT(128).Total
 		if radix2/mat < 5 {
 			ok = false

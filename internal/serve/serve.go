@@ -199,8 +199,8 @@ type Config struct {
 	// behaviour).
 	Classes []SLOClass `json:"classes,omitempty"`
 
-	// Overlap prices service times at Schedule.OverlappedTotal (the
-	// overlap-aware DAG makespan) instead of the serial SerialTotal —
+	// Overlap prices service times at Schedule.Overlapped (the
+	// overlap-aware DAG makespan) instead of the serial Total —
 	// the downstream half of the Schedule.PricedTotal switch. Part of
 	// the record schema: two runs differing only in Overlap are
 	// distinguishable from their echoed Configs.

@@ -357,7 +357,7 @@ func TestServeValidation(t *testing.T) {
 }
 
 // TestServeOverlapPricing: the Overlap flag routes pricing through
-// Schedule.OverlappedTotal — service times shrink, so at a fixed
+// Schedule.Overlapped — service times shrink, so at a fixed
 // offered rate the overlap-priced fleet has strictly more capacity and
 // no worse latency than the serial-priced one, and the flag is echoed
 // in the record schema.

@@ -12,7 +12,7 @@ import (
 // 700-case sweep (SetA–D × all 7 registered devices × {1,2,4,8,16}
 // cores × all 5 workloads) re-lowered through the DAG-building
 // Schedule IR must reproduce the committed BENCH_baseline.json serial
-// totals bit for bit — Schedule.SerialTotal is the pre-refactor
+// totals bit for bit — Schedule.Total is the pre-refactor
 // additive model, untouched by the overlap engine. Collective shares
 // and kernel tallies are held to the same standard, and the overlapped
 // column is sanity-bounded against its own baseline value.
@@ -48,7 +48,7 @@ func TestGoldenSerialEquivalence(t *testing.T) {
 			continue
 		}
 		if got.TotalS != want.TotalS {
-			t.Errorf("%s: SerialTotal %.17g != baseline total_s %.17g (must be bit-identical)",
+			t.Errorf("%s: total %.17g != baseline total_s %.17g (must be bit-identical)",
 				want.ID, got.TotalS, want.TotalS)
 		}
 		if got.CollectiveS != want.CollectiveS {

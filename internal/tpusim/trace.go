@@ -45,7 +45,7 @@ func NewTrace() *Trace {
 // lowering's additive charge stream into dependency-DAG nodes; pass nil
 // to detach. A trace has at most one observer and is not synchronised —
 // observation is only meaningful while the trace is charged from a
-// single goroutine (which Compiler.LowerOp guarantees).
+// single goroutine (which the compiler's per-lowering lock guarantees).
 func (t *Trace) Observe(f func(category string, seconds float64)) {
 	t.observer = f
 }

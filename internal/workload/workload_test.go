@@ -52,7 +52,7 @@ func TestMNISTEstimateShape(t *testing.T) {
 	if p.N() != 1<<13 || p.L != 18 || p.Dnum != 3 {
 		t.Fatal("MNIST params drifted from §V-D")
 	}
-	c, err := cross.New(tpusim.NewDevice(tpusim.TPUv6e()), p)
+	c, err := cross.Compile(tpusim.NewDevice(tpusim.TPUv6e()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMNISTEstimateShape(t *testing.T) {
 }
 
 func TestHELREstimateShape(t *testing.T) {
-	c, err := cross.New(tpusim.NewDevice(tpusim.TPUv6e()), cross.SetD())
+	c, err := cross.Compile(tpusim.NewDevice(tpusim.TPUv6e()), cross.SetD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMNISTScheduleComposition(t *testing.T) {
 }
 
 func TestEstimateLatencyAdditive(t *testing.T) {
-	c, err := cross.New(tpusim.NewDevice(tpusim.TPUv4()), cross.SetB())
+	c, err := cross.Compile(tpusim.NewDevice(tpusim.TPUv4()), cross.SetB())
 	if err != nil {
 		t.Fatal(err)
 	}
