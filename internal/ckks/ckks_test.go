@@ -27,7 +27,12 @@ type testContext struct {
 
 func newTestContext(t testing.TB, rotations []int) *testContext {
 	t.Helper()
-	p := testParams(t)
+	return newTestContextFor(t, testParams(t), rotations)
+}
+
+// newTestContextFor is newTestContext over the given parameters.
+func newTestContextFor(t testing.TB, p *Parameters, rotations []int) *testContext {
+	t.Helper()
 	kg := NewKeyGenerator(p, 7)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)

@@ -303,7 +303,6 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) 
 func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	p := ev.p
 	rq := p.RingQP
-	n := p.N()
 	total := p.L + p.Alpha
 	dnum := p.NumDigits(lvl)
 
@@ -330,17 +329,7 @@ func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey) (*ring.
 		// only the basis-converted limbs need a forward transform.
 		ext := &extS.view
 		ev.modUp(ext, d, dCoeff, lo, hi, lvl)
-		// Accumulate ext ⊙ evk_j into (acc0, acc1).
-		for _, i := range extLimbs {
-			m := rq.Moduli[i]
-			for k := 0; k < n; k++ {
-				e := ext.Coeffs[i][k]
-				acc0.Coeffs[i][k] = m.AddMod(acc0.Coeffs[i][k], m.BarrettMul(e, swk.B[j].Coeffs[i][k]))
-				acc1.Coeffs[i][k] = m.AddMod(acc1.Coeffs[i][k], m.BarrettMul(e, swk.A[j].Coeffs[i][k]))
-			}
-		}
-		ev.Kc.VecMulN += 2 * len(extLimbs)
-		ev.Kc.VecAddN += 2 * len(extLimbs)
+		ev.keyInnerProduct(acc0, acc1, ext, extLimbs, swk, j, j == dnum-1)
 	}
 	ev.putPoly(extS)
 	ev.putPoly(dCoeffS)
@@ -350,6 +339,45 @@ func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey) (*ring.
 	ev.putPoly(acc0S)
 	ev.putPoly(acc1S)
 	return b, a
+}
+
+// keyInnerProduct accumulates ext ⊙ (B_j, A_j), the product of one
+// ModUp-extended digit with key digit j, into (acc0, acc1) over limbs.
+// Accumulators start at zero and digits arrive in order; last marks the
+// final one. When the parameters allow it (lazyKeyIP: dnum·(q_max−1)² <
+// 2^64) the raw products are summed across digits in one word and
+// reduced only while the last digit is added, so no extra pass runs;
+// otherwise every digit's products are reduced into [0, q). Inputs are
+// residues in [0, q), so both paths give the same outputs.
+func (ev *Evaluator) keyInnerProduct(acc0, acc1, ext *ring.Poly, limbs []int, swk *SwitchingKey, j int, last bool) {
+	rq := ev.p.RingQP
+	for _, i := range limbs {
+		m := rq.Moduli[i]
+		e := ext.Coeffs[i]
+		b := swk.B[j].Coeffs[i][:len(e)]
+		a := swk.A[j].Coeffs[i][:len(e)]
+		c0 := acc0.Coeffs[i][:len(e)]
+		c1 := acc1.Coeffs[i][:len(e)]
+		switch {
+		case !ev.p.lazyKeyIP:
+			for k, x := range e {
+				c0[k] = m.AddMod(c0[k], m.BarrettMul(x, b[k]))
+				c1[k] = m.AddMod(c1[k], m.BarrettMul(x, a[k]))
+			}
+		case last:
+			for k, x := range e {
+				c0[k] = m.Reduce(c0[k] + x*b[k])
+				c1[k] = m.Reduce(c1[k] + x*a[k])
+			}
+		default:
+			for k, x := range e {
+				c0[k] += x * b[k]
+				c1[k] += x * a[k]
+			}
+		}
+	}
+	ev.Kc.VecMulN += 2 * len(limbs)
+	ev.Kc.VecAddN += 2 * len(limbs)
 }
 
 // modUp extends digit limbs [lo, hi) to the full Q_lvl ∪ P basis and

@@ -53,8 +53,6 @@ func (ev *Evaluator) decompose(c1 *ring.Poly, lvl int) *hoistedDecomposition {
 // (τ commutes with ModUp because basis conversion is coefficient-wise).
 func (ev *Evaluator) applyHoisted(h *hoistedDecomposition, idx []int, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	p := ev.p
-	rq := p.RingQP
-	n := p.N()
 	lvl := h.level
 	total := p.L + p.Alpha
 
@@ -76,16 +74,7 @@ func (ev *Evaluator) applyHoisted(h *hoistedDecomposition, idx []int, swk *Switc
 			src = tmp
 			ev.Kc.Automorph += len(extLimbs)
 		}
-		for _, i := range extLimbs {
-			m := rq.Moduli[i]
-			for k := 0; k < n; k++ {
-				e := src.Coeffs[i][k]
-				acc0.Coeffs[i][k] = m.AddMod(acc0.Coeffs[i][k], m.BarrettMul(e, swk.B[j].Coeffs[i][k]))
-				acc1.Coeffs[i][k] = m.AddMod(acc1.Coeffs[i][k], m.BarrettMul(e, swk.A[j].Coeffs[i][k]))
-			}
-		}
-		ev.Kc.VecMulN += 2 * len(extLimbs)
-		ev.Kc.VecAddN += 2 * len(extLimbs)
+		ev.keyInnerProduct(acc0, acc1, src, extLimbs, swk, j, j == len(h.exts)-1)
 	}
 	ev.putPoly(tmpS)
 	b := ev.modDown(acc0, lvl)

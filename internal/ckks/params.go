@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
+	"sync"
 
 	"cross/internal/modarith"
 	"cross/internal/ring"
@@ -42,9 +44,17 @@ type Parameters struct {
 	QPrimes []uint64
 	PPrimes []uint64
 
-	bigP       *big.Int
-	pModQ      []uint64 // P mod q_i, the key-switch key scaling factor
-	pInvModQ   []uint64 // P⁻¹ mod q_i, the ModDown scaling factor
+	bigP     *big.Int
+	pModQ    []uint64 // P mod q_i, the key-switch key scaling factor
+	pInvModQ []uint64 // P⁻¹ mod q_i, the ModDown scaling factor
+	// lazyKeyIP is set when dnum·(q_max−1)² < 2^64 over Q ∪ P, so the
+	// key-switch inner product can sum raw products across all digits
+	// and reduce once (see keyInnerProduct).
+	lazyKeyIP bool
+
+	// cacheMu guards the converter and basis caches, which evaluators
+	// and encoders sharing these parameters fill on first use.
+	cacheMu    sync.Mutex
 	convCache  map[string]*rns.Converter
 	basisCache map[string]*rns.Basis
 }
@@ -90,6 +100,7 @@ func NewParameters(logN int, logScale uint, l, dnum int) (*Parameters, error) {
 		RingQP:     rq,
 		QPrimes:    qPrimes,
 		PPrimes:    pPrimes,
+		lazyKeyIP:  digitSumFitsWord(all, dnum),
 		convCache:  make(map[string]*rns.Converter),
 		basisCache: make(map[string]*rns.Basis),
 	}
@@ -106,6 +117,21 @@ func NewParameters(logN int, logScale uint, l, dnum int) (*Parameters, error) {
 		p.pInvModQ[i] = m.InvMod(pm)
 	}
 	return p, nil
+}
+
+// digitSumFitsWord reports whether dnum products of residues, summed,
+// stay below 2^64 for every prime: dnum·(q_max−1)² < 2^64.
+func digitSumFitsWord(primes []uint64, dnum int) bool {
+	var qMax uint64
+	for _, q := range primes {
+		qMax = max(qMax, q)
+	}
+	hi, sq := bits.Mul64(qMax-1, qMax-1)
+	if hi != 0 {
+		return false
+	}
+	hi, _ = bits.Mul64(sq, uint64(dnum))
+	return hi == 0
 }
 
 // MustParameters is NewParameters that panics on error.
@@ -150,8 +176,15 @@ func (p *Parameters) NumDigits(level int) int {
 }
 
 // basisFor returns (and caches) the RNS basis over a prime subset given
-// by ring limb indices.
+// by ring limb indices. It is safe for concurrent use.
 func (p *Parameters) basisFor(idx []int) *rns.Basis {
+	p.cacheMu.Lock()
+	defer p.cacheMu.Unlock()
+	return p.basisForLocked(idx)
+}
+
+// basisForLocked is basisFor for a caller that holds cacheMu.
+func (p *Parameters) basisForLocked(idx []int) *rns.Basis {
 	key := fmt.Sprint(idx)
 	if b, ok := p.basisCache[key]; ok {
 		return b
@@ -166,13 +199,15 @@ func (p *Parameters) basisFor(idx []int) *rns.Basis {
 }
 
 // converter returns (and caches) a BConv converter between limb-index
-// subsets.
+// subsets. It is safe for concurrent use.
 func (p *Parameters) converter(src, dst []int) *rns.Converter {
+	p.cacheMu.Lock()
+	defer p.cacheMu.Unlock()
 	key := fmt.Sprint(src, "→", dst)
 	if c, ok := p.convCache[key]; ok {
 		return c
 	}
-	c, err := rns.NewConverter(p.basisFor(src), p.basisFor(dst))
+	c, err := rns.NewConverter(p.basisForLocked(src), p.basisForLocked(dst))
 	if err != nil {
 		panic(fmt.Sprintf("ckks: converter construction: %v", err))
 	}

@@ -26,6 +26,7 @@ type Modulus struct {
 	BarrettLo     uint64
 	barrett64Hi   uint64 // ⌊2^128 / q⌋ high word, for ReduceWide
 	barrett64Lo   uint64 // ⌊2^128 / q⌋ low word
+	barrettWord   uint64 // ⌊2^64 / q⌋, for one-word values (Reduce)
 	MontR         uint64 // R mod q with R = 2^64
 	MontR2        uint64 // R² mod q
 	MontQInvNeg   uint64 // -q⁻¹ mod 2^64
@@ -59,6 +60,7 @@ func NewModulus(q uint64) (*Modulus, error) {
 	m.BarrettShift = 2 * m.Bits
 	m.BarrettHi, m.BarrettLo = divPow2ByQ(m.BarrettShift, q)
 	m.barrett64Hi, m.barrett64Lo = divPow2ByQ(128, q)
+	m.barrettWord, _ = bits.Div64(1, 0, q)
 
 	// Montgomery constants for R = 2^64.
 	m.MontQInvNeg = negInvPow2(q)
@@ -159,10 +161,12 @@ func (m *Modulus) MulMod(a, b uint64) uint64 {
 	return m.ReduceWide(hi, lo)
 }
 
-// ReduceWide reduces a 128-bit value (hi·2^64 + lo) modulo q.
+// ReduceWide reduces a 128-bit value (hi·2^64 + lo) modulo q. A value
+// that fits one word (every product of two residues below 2^32) takes
+// the one-multiply Reduce.
 func (m *Modulus) ReduceWide(hi, lo uint64) uint64 {
-	if hi == 0 && lo < m.Q {
-		return lo
+	if hi == 0 {
+		return m.Reduce(lo)
 	}
 	// Barrett with µ = ⌊2^128/q⌋: t = ⌊x·µ / 2^128⌋, r = x - t·q, then at
 	// most two corrections. We only need the low 64 bits of r.
@@ -221,12 +225,17 @@ func (m *Modulus) InvMod(a uint64) uint64 {
 	return m.PowMod(a, m.Q-2)
 }
 
-// Reduce returns a mod q for any uint64 a.
+// Reduce returns a mod q for any uint64 a by a one-word Barrett
+// reduction with µ = ⌊2^64/q⌋: t = ⌊a·µ/2^64⌋ falls short of ⌊a/q⌋ by
+// at most one, so r = a − t·q < 2q and one conditional subtraction
+// finishes.
 func (m *Modulus) Reduce(a uint64) uint64 {
-	if a < m.Q {
-		return a
+	t, _ := bits.Mul64(a, m.barrettWord)
+	r := a - t*m.Q
+	if r >= m.Q {
+		r -= m.Q
 	}
-	return a % m.Q
+	return r
 }
 
 // ErrNoRoot is returned when the modulus does not support the requested

@@ -115,6 +115,30 @@ func TestReduceWideAgainstBigInt(t *testing.T) {
 	}
 }
 
+// TestReduceOneWordEdges pins the one-word Barrett Reduce (and
+// ReduceWide's hi == 0 branch) at the values where its single
+// correction matters: around multiples of q and at the top of the word.
+func TestReduceOneWordEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, q := range testPrimes {
+		m := MustModulus(q)
+		xs := []uint64{0, 1, q - 1, q, q + 1, 2*q - 1, 2 * q, ^uint64(0), ^uint64(0) - q, (q - 1) * (q - 1)}
+		for i := 0; i < 200; i++ {
+			k := rng.Uint64() / q
+			xs = append(xs, k*q, k*q+q-1, rng.Uint64())
+		}
+		for _, x := range xs {
+			want := x % q
+			if got := m.Reduce(x); got != want {
+				t.Fatalf("q=%d Reduce(%d)=%d want %d", q, x, got, want)
+			}
+			if got := m.ReduceWide(0, x); got != want {
+				t.Fatalf("q=%d ReduceWide(0, %d)=%d want %d", q, x, got, want)
+			}
+		}
+	}
+}
+
 func TestPowAndInv(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, q := range testPrimes {

@@ -1,6 +1,7 @@
 package modarith
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -23,21 +24,26 @@ func FuzzReductionsAgree(f *testing.F) {
 	})
 }
 
+// FuzzReduceWide checks ReduceWide against a math/big oracle over
+// fuzzModuli, so both the one-word (hi == 0) branch and the 128-bit
+// path run at every width from the paper's 28-bit primes to 60 bits.
 func FuzzReduceWide(f *testing.F) {
-	f.Add(uint64(0), uint64(0))
-	f.Add(^uint64(0), ^uint64(0))
-	f.Add(uint64(1), uint64(0))
-	m := MustModulus(1152921504606830593)
-	f.Fuzz(func(t *testing.T, hi, lo uint64) {
-		got := m.ReduceWide(hi, lo)
-		if got >= m.Q {
-			t.Fatalf("ReduceWide out of range: %d", got)
+	moduli := fuzzModuli(f)
+	f.Add(uint8(0), uint64(0), uint64(0))
+	f.Add(uint8(7), ^uint64(0), ^uint64(0))
+	f.Add(uint8(1), uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, midx uint8, hi, lo uint64) {
+		m := moduli[int(midx)%len(moduli)]
+		x := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+		x.Add(x, new(big.Int).SetUint64(lo))
+		want := x.Mod(x, new(big.Int).SetUint64(m.Q)).Uint64()
+		if got := m.ReduceWide(hi, lo); got != want {
+			t.Fatalf("q=%d: ReduceWide(%d, %d) = %d want %d", m.Q, hi, lo, got, want)
 		}
-		// Verify by reconstructing: (hi·2^64 + lo) mod q via repeated
-		// word reduction: hi·(2^64 mod q) + lo ≡ the same residue.
-		want := m.AddMod(m.MulMod(m.Reduce(hi), m.MontR), m.Reduce(lo))
-		if got != want {
-			t.Fatalf("ReduceWide(%d, %d) = %d want %d", hi, lo, got, want)
+		if hi == 0 {
+			if got := m.Reduce(lo); got != want {
+				t.Fatalf("q=%d: Reduce(%d) = %d want %d", m.Q, lo, got, want)
+			}
 		}
 	})
 }

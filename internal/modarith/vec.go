@@ -289,17 +289,3 @@ func (m *Modulus) ShoupPrecomputeVec(w []uint64) []uint64 {
 	}
 	return out
 }
-
-// InnerProductMod returns Σ a[i]·b[i] mod q. The accumulation is lazy:
-// 128-bit partial sums are reduced only when the high word approaches
-// overflow, mirroring the paper's lazy-reduction pipelines.
-func (m *Modulus) InnerProductMod(a, b []uint64) uint64 {
-	if len(a) != len(b) {
-		panic("modarith: vector length mismatch")
-	}
-	var acc uint64
-	for i := range a {
-		acc = m.AddMod(acc, m.BarrettMul(a[i], b[i]))
-	}
-	return acc
-}

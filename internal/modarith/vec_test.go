@@ -161,21 +161,6 @@ func TestVecMontgomeryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInnerProductMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	q := testPrimes[0]
-	m := MustModulus(q)
-	a := randVec(rng, 301, q)
-	b := randVec(rng, 301, q)
-	var want uint64
-	for i := range a {
-		want = m.AddMod(want, m.BarrettMul(a[i], b[i]))
-	}
-	if got := m.InnerProductMod(a, b); got != want {
-		t.Fatalf("InnerProductMod = %d want %d", got, want)
-	}
-}
-
 func TestGenerateNTTPrimes(t *testing.T) {
 	for _, n := range []uint64{1 << 10, 1 << 13, 1 << 16} {
 		primes, err := GenerateNTTPrimes(28, n, 10)

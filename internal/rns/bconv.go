@@ -27,6 +27,9 @@ type Converter struct {
 	qModP []uint64
 	// qInv[i] = 1/q_i as float64 for the HPS overflow estimate v.
 	qInv []float64
+	// oneWord is set when Σ_i (q_i−1)(p_j−1) < 2^64 for every target
+	// prime p_j, so Step2 can sum each output coefficient in one word.
+	oneWord bool
 
 	// yPool recycles the step-1 intermediate limb matrix so the
 	// steady-state ConvertApproxInto path allocates nothing.
@@ -78,7 +81,26 @@ func NewConverter(from, to *Basis) (*Converter, error) {
 		c.table[j] = row
 		c.qModP[j] = bigMod(from.Q, pm.Q)
 	}
+	c.oneWord = sumFitsWord(from, to)
 	return c, nil
+}
+
+// sumFitsWord reports whether Σ_i (q_i−1)(p_j−1), the largest Step2
+// sum of products of residues, stays below 2^64 for every target prime
+// p_j.
+func sumFitsWord(from, to *Basis) bool {
+	for _, p := range to.Primes() {
+		var sum uint64
+		for _, q := range from.Primes() {
+			hi, lo := bits.Mul64(q-1, p-1)
+			var carry uint64
+			sum, carry = bits.Add64(sum, lo, 0)
+			if hi != 0 || carry != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Table returns the step-2 left matrix [q̂_i]_{p_j} indexed [j][i]. The
@@ -103,16 +125,23 @@ func (c *Converter) Step1(out, in [][]uint64) {
 const step2Tile = 32
 
 // Step2 computes c_j = Σ_i y_i · table[j][i] mod p_j — the
-// (N, L, L')-ModMatMul. y is limb-major [L][N]; out is [L'][N].
+// (N, L, L')-ModMatMul. y is limb-major [L][N] with y_i in [0, q_i);
+// out is [L'][N].
 //
 // Accumulation is lazy: each output coefficient gathers its L products
-// in a 128-bit (hi, lo) pair via bits.Mul64 and reduces ONCE with the
-// Barrett ⌊2^128/p⌋ constant — no per-term correction at all. A
-// near-overflow fold (hi ≥ 2^62, reachable only for >60-bit moduli at
-// large L) keeps the running sum exact.
+// and reduces ONCE — no per-term correction at all. When the whole sum
+// fits one word (oneWord, decided by NewConverter from the prime
+// sizes) it is a single uint64 reduced by the one-word Barrett;
+// otherwise it is a 128-bit (hi, lo) pair reduced with the ⌊2^128/p⌋
+// constant, where a near-overflow fold (hi ≥ 2^62, reachable only for
+// >60-bit moduli at large L) keeps the running sum exact.
 func (c *Converter) Step2(out, y [][]uint64) {
 	if len(y) != c.From.L() || len(out) != c.To.L() {
 		panic("rns: Step2 limb count mismatch")
+	}
+	if c.oneWord {
+		c.step2Word(out, y)
+		return
 	}
 	n := len(y[0])
 	var lo, hi [step2Tile]uint64
@@ -143,6 +172,30 @@ func (c *Converter) Step2(out, y [][]uint64) {
 			}
 			for k := 0; k < kn; k++ {
 				dst[k0+k] = pm.ReduceWide(hi[k], lo[k])
+			}
+		}
+	}
+}
+
+// step2Word is Step2 for bases whose every output sum fits one word:
+// one uint64 per coefficient, no carry, no fold.
+func (c *Converter) step2Word(out, y [][]uint64) {
+	n := len(y[0])
+	var acc [step2Tile]uint64
+	for j, pm := range c.To.Moduli {
+		dst := out[j]
+		row := c.table[j]
+		for k0 := 0; k0 < n; k0 += step2Tile {
+			sum := acc[:min(step2Tile, n-k0)]
+			clear(sum)
+			for i, w := range row {
+				src := y[i][k0 : k0+len(sum)]
+				for k, v := range src {
+					sum[k] += v * w
+				}
+			}
+			for k, v := range sum {
+				dst[k0+k] = pm.Reduce(v)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package rns
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -184,32 +185,76 @@ func TestConvertApproxOverflowBounded(t *testing.T) {
 	}
 }
 
-func TestStep2MatchesNaiveMatMul(t *testing.T) {
-	from, to := testBases(t)
-	conv, err := NewConverter(from, to)
+// widthBases returns disjoint l- and lp-prime bases of bits-bit
+// NTT-friendly primes.
+func widthBases(tb testing.TB, bits uint, l, lp int) (*Basis, *Basis) {
+	tb.Helper()
+	ps, err := modarith.GenerateNTTPrimes(bits, 1<<10, l+lp)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	n := 16
-	y := AllocLimbs(from.L(), n)
-	for i, m := range from.Moduli {
-		for k := range y[i] {
-			y[i][k] = rng.Uint64() % m.Q
-		}
+	return MustBasis(ps[:l]), MustBasis(ps[l:])
+}
+
+// TestStep2MatchesNaiveMatMul checks both Step2 accumulators against a
+// math/big matmul: 28-bit bases take the one-word sum, 45- and 60-bit
+// bases the 128-bit one. n = 70 covers two full tiles and a tail.
+func TestStep2MatchesNaiveMatMul(t *testing.T) {
+	for _, tc := range []struct {
+		bits    uint
+		oneWord bool
+	}{{28, true}, {45, false}, {60, false}} {
+		t.Run(fmt.Sprintf("%dbit", tc.bits), func(t *testing.T) {
+			from, to := widthBases(t, tc.bits, 6, 4)
+			conv, err := NewConverter(from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if conv.oneWord != tc.oneWord {
+				t.Fatalf("oneWord = %v want %v", conv.oneWord, tc.oneWord)
+			}
+			rng := rand.New(rand.NewSource(5))
+			n := 70
+			y := AllocLimbs(from.L(), n)
+			for i, m := range from.Moduli {
+				for k := range y[i] {
+					y[i][k] = rng.Uint64() % m.Q
+				}
+				y[i][0] = m.Q - 1 // the largest sum the bound allows
+			}
+			out := AllocLimbs(to.L(), n)
+			conv.Step2(out, y)
+			tab := conv.Table()
+			for j, m := range to.Moduli {
+				p := new(big.Int).SetUint64(m.Q)
+				for k := 0; k < n; k++ {
+					want, term := new(big.Int), new(big.Int)
+					for i := range y {
+						term.SetUint64(y[i][k])
+						want.Add(want, term.Mul(term, new(big.Int).SetUint64(tab[j][i])))
+					}
+					if w := want.Mod(want, p).Uint64(); out[j][k] != w {
+						t.Fatalf("limb %d coeff %d: got %d want %d", j, k, out[j][k], w)
+					}
+				}
+			}
+		})
 	}
-	out := AllocLimbs(to.L(), n)
-	conv.Step2(out, y)
-	tab := conv.Table()
-	for j, m := range to.Moduli {
-		for k := 0; k < n; k++ {
-			var want uint64
-			for i := range y {
-				want = m.AddMod(want, m.MulMod(y[i][k]%m.Q, tab[j][i]))
-			}
-			if out[j][k] != want {
-				t.Fatalf("limb %d coeff %d: got %d want %d", j, k, out[j][k], want)
-			}
+}
+
+// TestStep2OneWordBound pins the predicate at its edge. The generator's
+// b-bit primes sit near 0.75·2^b, so a product of two is ≈0.56·2^(2b):
+// seven 31-bit products fit one word and eight do not; one 32-bit
+// product fits and two do not.
+func TestStep2OneWordBound(t *testing.T) {
+	for _, tc := range []struct {
+		bits uint
+		l    int
+		want bool
+	}{{28, 60, true}, {31, 7, true}, {31, 8, false}, {32, 1, true}, {32, 2, false}, {33, 1, false}} {
+		from, to := widthBases(t, tc.bits, tc.l, 2)
+		if got := sumFitsWord(from, to); got != tc.want {
+			t.Errorf("%d-bit, L=%d: sumFitsWord = %v want %v", tc.bits, tc.l, got, tc.want)
 		}
 	}
 }
