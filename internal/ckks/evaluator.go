@@ -33,10 +33,6 @@ type Evaluator struct {
 	// accumulators, ModUp extensions), so the steady-state operator
 	// allocates only its returned ciphertext.
 	scratch sync.Pool // *polyScratch
-	// rowBuf/rowBufOut back the [][]uint64 row-header views handed to
-	// the basis converter (headers only — no coefficient copies).
-	rowBuf    [][]uint64
-	rowBufOut [][]uint64
 }
 
 // polyScratch is a pooled full-width polynomial plus a truncated view
@@ -64,23 +60,6 @@ func (ev *Evaluator) getPoly(limbs int, zero bool) *polyScratch {
 }
 
 func (ev *Evaluator) putPoly(sp *polyScratch) { ev.scratch.Put(sp) }
-
-// rows returns a reusable row-header slice of length l. Two distinct
-// backings exist because ModUp/ModDown view source and destination
-// limb sets at the same time.
-func (ev *Evaluator) rows(l int) [][]uint64 {
-	if cap(ev.rowBuf) < l {
-		ev.rowBuf = make([][]uint64, l)
-	}
-	return ev.rowBuf[:l]
-}
-
-func (ev *Evaluator) rowsOut(l int) [][]uint64 {
-	if cap(ev.rowBufOut) < l {
-		ev.rowBufOut = make([][]uint64, l)
-	}
-	return ev.rowBufOut[:l]
-}
 
 // NewEvaluator builds an evaluator; rlk and gks may be nil when the
 // corresponding operators are unused.
@@ -193,37 +172,36 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ckks: cannot rescale at level 0")
 	}
 	lvl := ct.Level
-	qTop := ev.p.QPrimes[lvl]
-	out := &Ciphertext{
-		C0:    ev.rescalePoly(ct.C0, lvl),
-		C1:    ev.rescalePoly(ct.C1, lvl),
-		Level: lvl - 1,
-		Scale: ct.Scale / float64(qTop),
-	}
-	return out, nil
+	c0, c1 := ev.rescale(ct.C0, ct.C1, lvl)
+	return &Ciphertext{C0: c0, C1: c1, Level: lvl - 1, Scale: ct.Scale / float64(ev.p.QPrimes[lvl])}, nil
 }
 
-// rescalePoly computes round(poly / q_lvl) in RNS: INTT the top limb,
-// re-embed it into the remaining limbs, subtract, and multiply by
-// q_lvl⁻¹ (the exact-division trick; the rounding error is folded into
-// the ciphertext noise).
-func (ev *Evaluator) rescalePoly(p *ring.Poly, lvl int) *ring.Poly {
+// rescale computes round(c / q_lvl) in RNS for both polynomials of a
+// ciphertext: INTT the top limb, re-embed it into the remaining limbs,
+// subtract, and multiply by q_lvl⁻¹ (the exact-division trick; the
+// rounding error is folded into the ciphertext noise). The 2·lvl
+// output limbs are spread over the ring's workers.
+func (ev *Evaluator) rescale(c0, c1 *ring.Poly, lvl int) (*ring.Poly, *ring.Poly) {
 	rq := ev.p.RingQP
 	n := ev.p.N()
 	qTop := ev.p.QPrimes[lvl]
-
-	tb := rq.GetScratch()
-	defer rq.PutScratch(tb)
-	top := (*tb)[:n]
-	copy(top, p.Coeffs[lvl])
-	rq.INTTLimb(lvl, top)
-	ev.Kc.INTTLimbs++
-
-	out := ring.NewPoly(lvl, n)
 	half := qTop >> 1
-	for i := 0; i < lvl; i++ {
+
+	in := [2]*ring.Poly{c0, c1}
+	tb0, tb1 := rq.GetScratch(), rq.GetScratch()
+	defer rq.PutScratch(tb0)
+	defer rq.PutScratch(tb1)
+	tops := [2][]uint64{(*tb0)[:n], (*tb1)[:n]}
+	for h, top := range tops {
+		copy(top, in[h].Coeffs[lvl])
+		rq.INTTLimb(lvl, top)
+	}
+
+	out := [2]*ring.Poly{ring.NewPoly(lvl, n), ring.NewPoly(lvl, n)}
+	rq.ForLimbs(2*lvl, func(t int) {
+		h, i := t/lvl, t%lvl
 		m := rq.Moduli[i]
-		dst := out.Coeffs[i]
+		top, src, dst := tops[h], in[h].Coeffs[i], out[h].Coeffs[i]
 		// Centered embedding of the top-limb residues into q_i.
 		for k := 0; k < n; k++ {
 			v := top[k]
@@ -237,20 +215,20 @@ func (ev *Evaluator) rescalePoly(p *ring.Poly, lvl int) *ring.Poly {
 			}
 		}
 		rq.NTTLimb(i, dst)
-		ev.Kc.NTTLimbs++
 		// (c_i − top) · qTop⁻¹ mod q_i
 		inv := m.InvMod(m.Reduce(qTop))
 		invS := m.ShoupPrecompute(inv)
-		src := p.Coeffs[i]
 		for k := 0; k < n; k++ {
 			diff := m.SubMod(src[k], dst[k])
 			dst[k] = m.ShoupMulFull(diff, inv, invS)
 		}
-	}
-	ev.Kc.VecAddN += lvl
-	ev.Kc.VecMulN += lvl
-	ev.Kc.BConvCalls++
-	return out
+	})
+	ev.Kc.INTTLimbs += 2
+	ev.Kc.NTTLimbs += 2 * lvl
+	ev.Kc.VecAddN += 2 * lvl
+	ev.Kc.VecMulN += 2 * lvl
+	ev.Kc.BConvCalls += 2
+	return out[0], out[1]
 }
 
 // Rotate rotates the plaintext slots left by k positions using the
@@ -334,24 +312,26 @@ func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey) (*ring.
 	ev.putPoly(extS)
 	ev.putPoly(dCoeffS)
 
-	b := ev.modDown(acc0, lvl)
-	a := ev.modDown(acc1, lvl)
+	b, a := ev.modDown(acc0, acc1, lvl)
 	ev.putPoly(acc0S)
 	ev.putPoly(acc1S)
 	return b, a
 }
 
 // keyInnerProduct accumulates ext ⊙ (B_j, A_j), the product of one
-// ModUp-extended digit with key digit j, into (acc0, acc1) over limbs.
-// Accumulators start at zero and digits arrive in order; last marks the
-// final one. When the parameters allow it (lazyKeyIP: dnum·(q_max−1)² <
-// 2^64) the raw products are summed across digits in one word and
-// reduced only while the last digit is added, so no extra pass runs;
-// otherwise every digit's products are reduced into [0, q). Inputs are
-// residues in [0, q), so both paths give the same outputs.
+// ModUp-extended digit with key digit j, into (acc0, acc1) over limbs,
+// one limb per task. Accumulators start at zero and digits arrive in
+// order; last marks the final one. When the parameters allow it
+// (lazyKeyIP: dnum·(q_max−1)² < 2^64) the raw products are summed
+// across digits in one word and reduced only while the last digit is
+// added, so no extra pass runs; otherwise every digit's products are
+// reduced into [0, q). Inputs are residues in [0, q), so both paths
+// give the same outputs.
 func (ev *Evaluator) keyInnerProduct(acc0, acc1, ext *ring.Poly, limbs []int, swk *SwitchingKey, j int, last bool) {
 	rq := ev.p.RingQP
-	for _, i := range limbs {
+	lazy := ev.p.lazyKeyIP
+	rq.ForLimbs(len(limbs), func(t int) {
+		i := limbs[t]
 		m := rq.Moduli[i]
 		e := ext.Coeffs[i]
 		b := swk.B[j].Coeffs[i][:len(e)]
@@ -359,7 +339,7 @@ func (ev *Evaluator) keyInnerProduct(acc0, acc1, ext *ring.Poly, limbs []int, sw
 		c0 := acc0.Coeffs[i][:len(e)]
 		c1 := acc1.Coeffs[i][:len(e)]
 		switch {
-		case !ev.p.lazyKeyIP:
+		case !lazy:
 			for k, x := range e {
 				c0[k] = m.AddMod(c0[k], m.BarrettMul(x, b[k]))
 				c1[k] = m.AddMod(c1[k], m.BarrettMul(x, a[k]))
@@ -375,7 +355,7 @@ func (ev *Evaluator) keyInnerProduct(acc0, acc1, ext *ring.Poly, limbs []int, sw
 				c1[k] += x * a[k]
 			}
 		}
-	}
+	})
 	ev.Kc.VecMulN += 2 * len(limbs)
 	ev.Kc.VecAddN += 2 * len(limbs)
 }
@@ -384,9 +364,12 @@ func (ev *Evaluator) keyInnerProduct(acc0, acc1, ext *ring.Poly, limbs []int, sw
 // writes the result into ext (a full-width scratch polynomial): the
 // digit's own limbs are copied straight from the NTT-domain input d,
 // the remaining limbs come from the approximate BConv of the
-// coefficient-domain dCoeff followed by a forward NTT each. The
-// converter reads dCoeff's rows and writes ext's rows directly through
-// reusable header views — no coefficient copies, no allocation.
+// coefficient-domain dCoeff followed by a forward NTT each. BConv
+// Step 1 runs in place on dCoeff's digit limbs, which no other digit
+// reads, so modUp consumes them. Both phases are spread over the
+// ring's workers: Step 1 one source limb per task, then one target
+// limb per task — its Step 2 row and its NTT, back to back while the
+// limb is still in cache.
 func (ev *Evaluator) modUp(ext, d, dCoeff *ring.Poly, lo, hi, lvl int) {
 	p := ev.p
 	rq := p.RingQP
@@ -394,6 +377,7 @@ func (ev *Evaluator) modUp(ext, d, dCoeff *ring.Poly, lo, hi, lvl int) {
 	src := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		src = append(src, i)
+		copy(ext.Coeffs[i], d.Coeffs[i])
 	}
 	dst := make([]int, 0, lvl+1+p.Alpha)
 	for i := 0; i <= lvl; i++ {
@@ -403,69 +387,59 @@ func (ev *Evaluator) modUp(ext, d, dCoeff *ring.Poly, lo, hi, lvl int) {
 	}
 	dst = append(dst, p.pLimbs()...)
 
-	for _, i := range src {
-		copy(ext.Coeffs[i], d.Coeffs[i])
-	}
-	if len(dst) > 0 {
-		conv := p.converter(src, dst)
-		in := ev.rows(len(src))
-		for si, i := range src {
-			in[si] = dCoeff.Coeffs[i]
-		}
-		out := ev.rowsOut(len(dst))
-		for di, i := range dst {
-			out[di] = ext.Coeffs[i]
-		}
-		conv.ConvertApproxInto(out, in)
-		for _, i := range dst {
-			rq.NTTLimb(i, ext.Coeffs[i])
-			ev.Kc.NTTLimbs++
-		}
-		ev.Kc.BConvCalls++
-	}
+	conv := p.converter(src, dst)
+	y := dCoeff.Coeffs[lo:hi]
+	rq.ForLimbs(len(y), func(si int) { conv.Step1Limb(si, y[si], y[si]) })
+	rq.ForLimbs(len(dst), func(di int) {
+		i := dst[di]
+		conv.Step2Row(di, ext.Coeffs[i], y)
+		rq.NTTLimb(i, ext.Coeffs[i])
+	})
+	ev.Kc.NTTLimbs += len(dst)
+	ev.Kc.BConvCalls++
 }
 
-// modDown divides an NTT-domain accumulator over Q_lvl ∪ P by P:
-// INTT the special limbs (in place — the accumulator is keySwitch
-// scratch whose P limbs are dead afterwards), convert them to Q_lvl,
-// NTT, subtract, and multiply by P⁻¹ mod q_i.
-func (ev *Evaluator) modDown(acc *ring.Poly, lvl int) *ring.Poly {
+// modDown divides the two NTT-domain key-switch accumulators over
+// Q_lvl ∪ P by P: INTT the special limbs and run BConv Step 1 on them
+// (in place — the accumulators are keySwitch scratch whose P limbs are
+// dead afterwards), then per Q limb run the Step 2 row, NTT, subtract,
+// and multiply by P⁻¹ mod q_i. Each phase covers both accumulators and
+// is spread over the ring's workers, one limb per task.
+func (ev *Evaluator) modDown(acc0, acc1 *ring.Poly, lvl int) (*ring.Poly, *ring.Poly) {
 	p := ev.p
 	rq := p.RingQP
 	n := p.N()
+	alpha, q := p.Alpha, lvl+1
 
-	pIdx := p.pLimbs()
-	in := ev.rows(len(pIdx))
-	for si, i := range pIdx {
-		in[si] = acc.Coeffs[i]
-		rq.INTTLimb(i, in[si])
-		ev.Kc.INTTLimbs++
-	}
-	conv := p.converter(pIdx, qLimbs(lvl))
-	outS := ev.getPoly(lvl+1, false)
-	out := ev.rowsOut(lvl + 1)
-	for i := 0; i <= lvl; i++ {
-		out[i] = outS.view.Coeffs[i]
-	}
-	conv.ConvertApproxInto(out, in)
-	ev.Kc.BConvCalls++
+	conv := p.converter(p.pLimbs(), qLimbs(lvl))
+	accs := [2]*ring.Poly{acc0, acc1}
+	rq.ForLimbs(2*alpha, func(t int) {
+		si := t % alpha
+		y := accs[t/alpha].Coeffs[p.L+si]
+		rq.INTTLimb(p.L+si, y)
+		conv.Step1Limb(si, y, y)
+	})
 
-	res := ring.NewPoly(lvl+1, n)
-	for i := 0; i <= lvl; i++ {
+	res := [2]*ring.Poly{ring.NewPoly(q, n), ring.NewPoly(q, n)}
+	rq.ForLimbs(2*q, func(t int) {
+		acc, i := accs[t/q], t%q
 		m := rq.Moduli[i]
-		rq.NTTLimb(i, out[i])
-		ev.Kc.NTTLimbs++
+		dst := res[t/q].Coeffs[i]
+		conv.Step2Row(i, dst, acc.Coeffs[p.L:p.L+alpha])
+		rq.NTTLimb(i, dst)
 		inv := p.PInvModQ(i)
 		invS := m.ShoupPrecompute(inv)
+		src := acc.Coeffs[i]
 		for k := 0; k < n; k++ {
-			diff := m.SubMod(acc.Coeffs[i][k], out[i][k])
-			res.Coeffs[i][k] = m.ShoupMulFull(diff, inv, invS)
+			dst[k] = m.ShoupMulFull(m.SubMod(src[k], dst[k]), inv, invS)
 		}
-	}
-	ev.putPoly(outS)
-	ev.Kc.VecAddN += lvl + 1
-	ev.Kc.VecMulN += lvl + 1
-	return res
+	})
+	ev.Kc.INTTLimbs += 2 * alpha
+	ev.Kc.BConvCalls += 2
+	ev.Kc.NTTLimbs += 2 * q
+	ev.Kc.VecAddN += 2 * q
+	ev.Kc.VecMulN += 2 * q
+	return res[0], res[1]
 }
 
 // DropLevel truncates a ciphertext to a lower level without scaling

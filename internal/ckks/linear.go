@@ -64,21 +64,21 @@ func (ev *Evaluator) applyHoisted(h *hoistedDecomposition, idx []int, swk *Switc
 	for j, ext := range h.exts {
 		src := ext
 		if idx != nil {
-			for _, i := range extLimbs {
+			p.RingQP.ForLimbs(len(extLimbs), func(t int) {
+				i := extLimbs[t]
 				dst := tmp.Coeffs[i]
 				from := ext.Coeffs[i]
 				for k := range dst {
 					dst[k] = from[idx[k]]
 				}
-			}
+			})
 			src = tmp
 			ev.Kc.Automorph += len(extLimbs)
 		}
 		ev.keyInnerProduct(acc0, acc1, src, extLimbs, swk, j, j == len(h.exts)-1)
 	}
 	ev.putPoly(tmpS)
-	b := ev.modDown(acc0, lvl)
-	a := ev.modDown(acc1, lvl)
+	b, a := ev.modDown(acc0, acc1, lvl)
 	ev.putPoly(acc0S)
 	ev.putPoly(acc1S)
 	return b, a

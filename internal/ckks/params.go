@@ -38,7 +38,8 @@ type Parameters struct {
 	Scale float64
 
 	// RingQP spans all L+Alpha primes: limbs [0, L) are the ciphertext
-	// chain Q, limbs [L, L+Alpha) the special modulus P.
+	// chain Q, limbs [L, L+Alpha) the special modulus P. Its parallelism
+	// (GOMAXPROCS by default) sets the evaluator's limb workers.
 	RingQP *ring.Ring
 
 	QPrimes []uint64
@@ -90,6 +91,9 @@ func NewParameters(logN int, logScale uint, l, dnum int) (*Parameters, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every limb loop of the evaluator (and the ring's NTT/INTT) spreads
+	// over one worker per usable processor; results do not depend on it.
+	rq = rq.WithParallelism(ring.DefaultParallelism())
 	p := &Parameters{
 		LogN:       logN,
 		LogScale:   logScale,

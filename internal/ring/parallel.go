@@ -15,10 +15,10 @@ import (
 // of scheduling.
 
 // WithParallelism returns a view of the ring whose whole-polynomial
-// transforms (NTT, INTT, and MatNTTPlan.Forward/Inverse on plans built
-// from the view) distribute limbs across up to `workers` goroutines.
-// workers ≤ 1 selects the serial path; the view shares all twiddle
-// tables with the receiver.
+// transforms (NTT, INTT, ForLimbs, and MatNTTPlan.Forward/Inverse on
+// plans built from the view) distribute limbs across up to `workers`
+// goroutines. workers ≤ 1 selects the serial path; the view shares all
+// twiddle tables with the receiver.
 func (r *Ring) WithParallelism(workers int) *Ring {
 	cp := *r
 	if workers < 1 {
@@ -37,36 +37,74 @@ func (r *Ring) Parallelism() int {
 }
 
 // DefaultParallelism is the worker count WithParallelism callers
-// typically want: one worker per CPU.
-func DefaultParallelism() int { return runtime.NumCPU() }
+// typically want: one worker per processor the Go scheduler may use,
+// so a GOMAXPROCS or cgroup CPU limit is respected.
+func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// parallelFor runs f(0..n-1), fanning out over up to `workers`
-// goroutines. Iterations must be independent; work is claimed from an
-// atomic counter so uneven iteration costs balance.
+// ForLimbs runs f(0..n-1) over the ring's workers. The iterations must
+// be independent (in practice: one limb each, writing only that limb's
+// output), so the result does not depend on the worker count.
+func (r *Ring) ForLimbs(n int, f func(i int)) { parallelFor(r.Parallelism(), n, f) }
+
+// limbJob is the state one parallelFor call shares with its helpers.
+// Jobs are pooled, so a steady-state fan-out allocates nothing beyond
+// the caller's closure.
+type limbJob struct {
+	f    func(int)
+	n    int64
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// run claims iterations from the shared counter until none are left, so
+// uneven iteration costs balance.
+func (j *limbJob) run() {
+	for {
+		i := j.next.Add(1) - 1
+		if i >= j.n {
+			return
+		}
+		j.f(int(i))
+	}
+}
+
+var (
+	jobPool = sync.Pool{New: func() any { return new(limbJob) }}
+	// jobQueue hands jobs to helper goroutines. A helper is started as
+	// `go helpJob()` — a static function, so the spawn needs no closure
+	// — and takes exactly one job; every send is paired with one spawn,
+	// so a send never waits on a helper that does not exist.
+	jobQueue = make(chan *limbJob, 64)
+)
+
+func helpJob() {
+	j := <-jobQueue
+	j.run()
+	j.wg.Done()
+}
+
+// parallelFor runs f(0..n-1) on up to `workers` goroutines: the caller
+// runs one share itself and workers−1 helpers run the rest.
 func parallelFor(workers, n int, f func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
+	j := jobPool.Get().(*limbJob)
+	j.f, j.n = f, int64(n)
+	j.next.Store(0)
+	j.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go helpJob()
+		jobQueue <- j
 	}
-	wg.Wait()
+	j.run()
+	j.wg.Wait()
+	j.f = nil
+	jobPool.Put(j)
 }

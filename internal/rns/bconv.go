@@ -113,20 +113,37 @@ func (c *Converter) Step1(out, in [][]uint64) {
 	if len(in) != c.From.L() || len(out) != c.From.L() {
 		panic("rns: Step1 limb count mismatch")
 	}
-	for i, m := range c.From.Moduli {
-		m.VecScalarMulModShoup(out[i], in[i], c.From.qHatInv[i], c.From.qHatInvShoup[i])
+	for i := range in {
+		c.Step1Limb(i, out[i], in[i])
 	}
 }
 
+// Step1Limb is Step1 for source limb i alone, so callers can spread the
+// limbs over workers. out may alias in.
+func (c *Converter) Step1Limb(i int, out, in []uint64) {
+	c.From.Moduli[i].VecScalarMulModShoup(out, in, c.From.qHatInv[i], c.From.qHatInvShoup[i])
+}
+
 // step2Tile is the coefficient-block width of the lazy Step2
-// accumulation: per tile the 128-bit partial sums live in two stack
-// arrays while the limb loop streams each source row sequentially —
-// cache-friendly in both directions.
+// accumulation: per tile the partial sums live in stack arrays while
+// the limb loop streams each source row sequentially — cache-friendly
+// in both directions.
 const step2Tile = 32
 
 // Step2 computes c_j = Σ_i y_i · table[j][i] mod p_j — the
 // (N, L, L')-ModMatMul. y is limb-major [L][N] with y_i in [0, q_i);
-// out is [L'][N].
+// out is [L'][N]. It is Step2Row for every output limb.
+func (c *Converter) Step2(out, y [][]uint64) {
+	if len(y) != c.From.L() || len(out) != c.To.L() {
+		panic("rns: Step2 limb count mismatch")
+	}
+	for j := range out {
+		c.Step2Row(j, out[j], y)
+	}
+}
+
+// Step2Row computes output limb j of Step2 into out; rows are
+// independent, so callers can spread them over workers.
 //
 // Accumulation is lazy: each output coefficient gathers its L products
 // and reduces ONCE — no per-term correction at all. When the whole sum
@@ -135,56 +152,12 @@ const step2Tile = 32
 // otherwise it is a 128-bit (hi, lo) pair reduced with the ⌊2^128/p⌋
 // constant, where a near-overflow fold (hi ≥ 2^62, reachable only for
 // >60-bit moduli at large L) keeps the running sum exact.
-func (c *Converter) Step2(out, y [][]uint64) {
-	if len(y) != c.From.L() || len(out) != c.To.L() {
-		panic("rns: Step2 limb count mismatch")
-	}
+func (c *Converter) Step2Row(j int, out []uint64, y [][]uint64) {
+	pm := c.To.Moduli[j]
+	row := c.table[j]
+	n := len(out)
 	if c.oneWord {
-		c.step2Word(out, y)
-		return
-	}
-	n := len(y[0])
-	var lo, hi [step2Tile]uint64
-	for j, pm := range c.To.Moduli {
-		dst := out[j]
-		row := c.table[j]
-		for k0 := 0; k0 < n; k0 += step2Tile {
-			kn := step2Tile
-			if n-k0 < kn {
-				kn = n - k0
-			}
-			for k := 0; k < kn; k++ {
-				lo[k], hi[k] = 0, 0
-			}
-			for i := range y {
-				w := row[i]
-				src := y[i][k0 : k0+kn]
-				for k := 0; k < len(src); k++ {
-					ph, pl := bits.Mul64(src[k], w)
-					var cr uint64
-					lo[k], cr = bits.Add64(lo[k], pl, 0)
-					hi[k] += ph + cr
-					if hi[k] >= 1<<62 {
-						lo[k] = pm.ReduceWide(hi[k], lo[k])
-						hi[k] = 0
-					}
-				}
-			}
-			for k := 0; k < kn; k++ {
-				dst[k0+k] = pm.ReduceWide(hi[k], lo[k])
-			}
-		}
-	}
-}
-
-// step2Word is Step2 for bases whose every output sum fits one word:
-// one uint64 per coefficient, no carry, no fold.
-func (c *Converter) step2Word(out, y [][]uint64) {
-	n := len(y[0])
-	var acc [step2Tile]uint64
-	for j, pm := range c.To.Moduli {
-		dst := out[j]
-		row := c.table[j]
+		var acc [step2Tile]uint64
 		for k0 := 0; k0 < n; k0 += step2Tile {
 			sum := acc[:min(step2Tile, n-k0)]
 			clear(sum)
@@ -195,8 +168,32 @@ func (c *Converter) step2Word(out, y [][]uint64) {
 				}
 			}
 			for k, v := range sum {
-				dst[k0+k] = pm.Reduce(v)
+				out[k0+k] = pm.Reduce(v)
 			}
+		}
+		return
+	}
+	var lo, hi [step2Tile]uint64
+	for k0 := 0; k0 < n; k0 += step2Tile {
+		kn := min(step2Tile, n-k0)
+		for k := 0; k < kn; k++ {
+			lo[k], hi[k] = 0, 0
+		}
+		for i, w := range row {
+			src := y[i][k0 : k0+kn]
+			for k := 0; k < len(src); k++ {
+				ph, pl := bits.Mul64(src[k], w)
+				var cr uint64
+				lo[k], cr = bits.Add64(lo[k], pl, 0)
+				hi[k] += ph + cr
+				if hi[k] >= 1<<62 {
+					lo[k] = pm.ReduceWide(hi[k], lo[k])
+					hi[k] = 0
+				}
+			}
+		}
+		for k := 0; k < kn; k++ {
+			out[k0+k] = pm.ReduceWide(hi[k], lo[k])
 		}
 	}
 }
