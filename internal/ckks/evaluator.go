@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"cross/internal/ring"
+	"cross/internal/rns"
 )
 
 // KernelCounters tallies HE-kernel invocations (limb-granular) so the
@@ -324,9 +325,10 @@ func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey) (*ring.
 // order; last marks the final one. When the parameters allow it
 // (lazyKeyIP: dnum·(q_max−1)² < 2^64) the raw products are summed
 // across digits in one word and reduced only while the last digit is
-// added, so no extra pass runs; otherwise every digit's products are
-// reduced into [0, q). Inputs are residues in [0, q), so both paths
-// give the same outputs.
+// added, so no extra pass runs (rns.MulAddLazy/MulAddReduce, AVX-512
+// for primes below 2^32); otherwise every digit's products are reduced
+// into [0, q). Inputs are residues in [0, q), so all paths give the same
+// outputs.
 func (ev *Evaluator) keyInnerProduct(acc0, acc1, ext *ring.Poly, limbs []int, swk *SwitchingKey, j int, last bool) {
 	rq := ev.p.RingQP
 	lazy := ev.p.lazyKeyIP
@@ -345,15 +347,11 @@ func (ev *Evaluator) keyInnerProduct(acc0, acc1, ext *ring.Poly, limbs []int, sw
 				c1[k] = m.AddMod(c1[k], m.BarrettMul(x, a[k]))
 			}
 		case last:
-			for k, x := range e {
-				c0[k] = m.Reduce(c0[k] + x*b[k])
-				c1[k] = m.Reduce(c1[k] + x*a[k])
-			}
+			rns.MulAddReduce(m, c0, e, b)
+			rns.MulAddReduce(m, c1, e, a)
 		default:
-			for k, x := range e {
-				c0[k] += x * b[k]
-				c1[k] += x * a[k]
-			}
+			rns.MulAddLazy(m, c0, e, b)
+			rns.MulAddLazy(m, c1, e, a)
 		}
 	})
 	ev.Kc.VecMulN += 2 * len(limbs)

@@ -33,8 +33,9 @@ func TestLazyKeyIPPredicate(t *testing.T) {
 }
 
 // TestKeyInnerProductPathsAgree runs keySwitch and applyHoisted (with
-// and without an automorphism) on both inner-product paths and requires
-// bit-identical outputs, at the top level and at one with fewer digits.
+// and without an automorphism) on both inner-product paths, each with
+// the AVX-512 kernels on and off, and requires bit-identical outputs,
+// at the top level and at one with fewer digits.
 func TestKeyInnerProductPathsAgree(t *testing.T) {
 	tc := newTestContext(t, []int{3})
 	if !tc.p.lazyKeyIP {
@@ -60,14 +61,17 @@ func TestKeyInnerProductPathsAgree(t *testing.T) {
 		rb, ra := tc.ev.applyHoisted(h, idx, gk)
 		return []*ring.Poly{b, a, hb, ha, rb, ra}
 	}
+	defer func() { tc.p.lazyKeyIP = true }()
 	for _, lvl := range []int{tc.p.MaxLevel(), 2} {
-		lazy := run(lvl)
-		tc.p.lazyKeyIP = false
-		strict := run(lvl)
-		tc.p.lazyKeyIP = true
-		for i := range lazy {
-			if !lazy[i].Equal(strict[i]) {
-				t.Fatalf("level %d output %d: lazy and per-digit inner products differ", lvl, i)
+		want := run(lvl)
+		for _, path := range []struct{ lazy, vector bool }{{true, false}, {false, true}, {false, false}} {
+			tc.p.lazyKeyIP = path.lazy
+			var got []*ring.Poly
+			withKernels(path.vector, func() { got = run(lvl) })
+			for i := range want {
+				if !want[i].Equal(got[i]) {
+					t.Fatalf("level %d output %d: default inner product and %+v differ", lvl, i, path)
+				}
 			}
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
+
+	"cross/internal/simd"
 )
 
 // Environment records where a host benchmark ran. Host numbers are only
@@ -21,6 +23,10 @@ type Environment struct {
 	// CPUModel is the /proc/cpuinfo "model name" (best effort; empty
 	// where the file is absent, e.g. non-Linux hosts).
 	CPUModel string `json:"cpu_model,omitempty"`
+	// Kernels is the ring/rns kernel backend, "avx512" or "go"
+	// (simd.Kernels): the same CPU model runs the HE kernels several
+	// times faster with the assembly than without it.
+	Kernels string `json:"kernels,omitempty"`
 }
 
 // CurrentEnvironment captures the running host.
@@ -32,6 +38,7 @@ func CurrentEnvironment() Environment {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		CPUModel:   cpuModel(),
+		Kernels:    simd.Kernels(),
 	}
 }
 
@@ -53,7 +60,8 @@ func cpuModel() string {
 // Mismatches compares a baseline environment against the current one
 // and describes every field that differs. Fields the baseline left
 // empty are skipped, so a legacy baseline with no environment block
-// produces no warnings.
+// produces no warnings; kernels is compared only when both sides
+// recorded it.
 func (e Environment) Mismatches(current Environment) []string {
 	var w []string
 	diff := func(field, old, new string) {
@@ -65,6 +73,9 @@ func (e Environment) Mismatches(current Environment) []string {
 	diff("goos", e.GOOS, current.GOOS)
 	diff("goarch", e.GOARCH, current.GOARCH)
 	diff("cpu_model", e.CPUModel, current.CPUModel)
+	if current.Kernels != "" {
+		diff("kernels", e.Kernels, current.Kernels)
+	}
 	if e.NumCPU != 0 && e.NumCPU != current.NumCPU {
 		w = append(w, fmt.Sprintf("num_cpu: baseline %d vs current %d", e.NumCPU, current.NumCPU))
 	}

@@ -61,3 +61,27 @@ func TestCurrentEnvironmentPopulated(t *testing.T) {
 		t.Fatalf("CurrentEnvironment incomplete: %+v", e)
 	}
 }
+
+// A record from an AVX-512 run compared against a pure-Go run must say
+// so: the kernel backend alone moves the HE ns/op several-fold. A side
+// that did not record the backend warns about nothing.
+func TestMismatchesKernels(t *testing.T) {
+	avx := Environment{GOOS: "linux", Kernels: "avx512"}
+	pure := Environment{GOOS: "linux", Kernels: "go"}
+	w := avx.Mismatches(pure)
+	if len(w) != 1 || !strings.Contains(w[0], "kernels") || !strings.Contains(w[0], `"avx512"`) || !strings.Contains(w[0], `"go"`) {
+		t.Fatalf("Mismatches = %v, want one kernels warning naming both backends", w)
+	}
+	if w := avx.Mismatches(avx); len(w) != 0 {
+		t.Fatalf("same backend warned: %v", w)
+	}
+	if w := (Environment{GOOS: "linux"}).Mismatches(pure); len(w) != 0 {
+		t.Fatalf("baseline without kernels warned: %v", w)
+	}
+	if w := avx.Mismatches(Environment{GOOS: "linux"}); len(w) != 0 {
+		t.Fatalf("current without kernels warned: %v", w)
+	}
+	if k := CurrentEnvironment().Kernels; k != "avx512" && k != "go" {
+		t.Fatalf("CurrentEnvironment().Kernels = %q", k)
+	}
+}

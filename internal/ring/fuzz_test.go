@@ -17,11 +17,12 @@ import (
 // fuzzRings builds one ring per (degree, prime width) combination —
 // widths span the paper's 28-bit primes up to the 60-bit ceiling where
 // the lazy bounds are tightest, degrees cover every specialized stage
-// shape (radix-4 opening/closing, fused middle, n=8 fallback).
+// shape (radix-4 opening/closing, fused middle, n=8 fallback) and, at
+// n = 4096, the in-register 16-word groups over many blocks.
 func fuzzRings(tb testing.TB) []*Ring {
 	tb.Helper()
 	var rings []*Ring
-	for _, n := range []int{8, 16, 32, 256} {
+	for _, n := range []int{8, 16, 32, 256, 4096} {
 		for _, bits := range []uint{28, 45, 60} {
 			primes, err := modarith.GenerateNTTPrimes(bits, uint64(n), 1)
 			if err != nil {

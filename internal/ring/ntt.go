@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"cross/internal/modarith"
+	"cross/internal/simd"
 )
 
 // nttTable holds the per-modulus twiddle factors for the radix-2
@@ -65,6 +66,13 @@ func newNTTTable(m *modarith.Modulus, n int) (*nttTable, error) {
 	return t, nil
 }
 
+// vectorNTT reports whether the AVX-512 transforms serve degree n
+// modulo q: their last three forward (first three inverse) stages work
+// on 16-word groups, so n ≥ 16, and their 32-bit Shoup quotients need
+// the lazy bound 4q below 2^32, so q < 2^30. Both give the same fully
+// reduced outputs as the pure-Go kernels.
+func vectorNTT(n int, q uint64) bool { return simd.AVX512 && n >= 16 && q < 1<<30 }
+
 // bitReverse reverses the low `width` bits of x.
 func bitReverse(x uint64, width uint) uint64 {
 	return bits.Reverse64(x) >> (64 - width)
@@ -94,6 +102,10 @@ func (r *Ring) NTTInPlace(i int, a []uint64) {
 		panic("ring: NTTInPlace length mismatch")
 	}
 	q := m.Q
+	if vectorNTT(n, q) {
+		nttAVX512(a, t.psiRev, t.psiRevSho, q)
+		return
+	}
 	twoQ := q + q
 
 	// Opening pass. For n ≥ 16 the first two stages fuse into one
@@ -326,6 +338,10 @@ func (r *Ring) INTTInPlace(i int, a []uint64) {
 		panic("ring: INTTInPlace length mismatch")
 	}
 	q := m.Q
+	if vectorNTT(n, q) {
+		inttAVX512(a, t.psiInvRev, t.psiInvRevSho, q, t.nInv, t.nInvSho, t.nInvPsi, t.nInvPsiSho)
+		return
+	}
 	twoQ := q + q
 
 	// Fused opening stages (half == 1, then half == 2): each 4-word

@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"sync"
+
+	"cross/internal/simd"
 )
 
 // Converter implements fast basis conversion (BConv, Fig. 15b) from a
@@ -30,6 +33,9 @@ type Converter struct {
 	// oneWord is set when Σ_i (q_i−1)(p_j−1) < 2^64 for every target
 	// prime p_j, so Step2 can sum each output coefficient in one word.
 	oneWord bool
+	// narrow is set when every source and target prime is below 2^32,
+	// so the one-word Step2 may run as the AVX-512 multiply-accumulate.
+	narrow bool
 
 	// yPool recycles the step-1 intermediate limb matrix so the
 	// steady-state ConvertApproxInto path allocates nothing.
@@ -82,6 +88,7 @@ func NewConverter(from, to *Basis) (*Converter, error) {
 		c.qModP[j] = bigMod(from.Q, pm.Q)
 	}
 	c.oneWord = sumFitsWord(from, to)
+	c.narrow = slices.Max(from.Primes()) < 1<<32 && slices.Max(to.Primes()) < 1<<32
 	return c, nil
 }
 
@@ -151,14 +158,27 @@ func (c *Converter) Step2(out, y [][]uint64) {
 // sizes) it is a single uint64 reduced by the one-word Barrett;
 // otherwise it is a 128-bit (hi, lo) pair reduced with the ⌊2^128/p⌋
 // constant, where a near-overflow fold (hi ≥ 2^62, reachable only for
-// >60-bit moduli at large L) keeps the running sum exact.
+// >60-bit moduli at large L) keeps the running sum exact. The one-word
+// sum runs in AVX-512 assembly when every prime is below 2^32 (narrow),
+// whole 8-lane vectors at a time, with the same outputs.
 func (c *Converter) Step2Row(j int, out []uint64, y [][]uint64) {
 	pm := c.To.Moduli[j]
 	row := c.table[j]
 	n := len(out)
 	if c.oneWord {
+		k0 := 0
+		if c.narrow && simd.AVX512 {
+			for _, src := range y[:len(row)] {
+				if len(src) < n {
+					panic("rns: Step2Row source limb shorter than output")
+				}
+			}
+			k0 = n &^ 7
+			r := newWordReducer(pm.Q)
+			step2RowAVX512(out[:k0], y, row, &r)
+		}
 		var acc [step2Tile]uint64
-		for k0 := 0; k0 < n; k0 += step2Tile {
+		for ; k0 < n; k0 += step2Tile {
 			sum := acc[:min(step2Tile, n-k0)]
 			clear(sum)
 			for i, w := range row {
