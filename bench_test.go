@@ -326,6 +326,18 @@ func BenchmarkCPUHEOps(b *testing.B) {
 			}
 		}
 	})
+	pt, err := ctx.Encoder.Encode(z)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("MulPlain", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctx.Evaluator.MulPlain(ct1, pt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("HE-Mult", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cross/internal/modarith"
 	"cross/internal/ring"
 	"cross/internal/rns"
 )
@@ -146,24 +147,46 @@ func (ev *Evaluator) MulRelin(ct1, ct2 *Ciphertext) (*Ciphertext, error) {
 	d0 := ring.NewPoly(lvl+1, n)
 	d1 := ring.NewPoly(lvl+1, n)
 	d2s := ev.getPoly(lvl+1, false)
-	tmps := ev.getPoly(lvl+1, false)
-	d2, tmp := &d2s.view, &tmps.view
-	rq.MulCoeffs(ct1.C0, ct2.C0, d0)
-	rq.MulCoeffs(ct1.C0, ct2.C1, d1)
-	rq.MulCoeffs(ct1.C1, ct2.C0, tmp)
-	rq.Add(d1, tmp, d1)
-	rq.MulCoeffs(ct1.C1, ct2.C1, d2)
+	d2 := &d2s.view
+	ev.tensor(ct1, ct2, d0, d1, d2)
 	ev.Kc.VecMulN += 4 * (lvl + 1)
 	ev.Kc.VecAddN += lvl + 1
 
 	ks0, ks1 := ev.keySwitch(d2, lvl, &ev.rlk.SwitchingKey)
 	ev.putPoly(d2s)
-	ev.putPoly(tmps)
-	rq.Add(d0, ks0, d0)
-	rq.Add(d1, ks1, d1)
+	rq.ForLimbs(lvl+1, func(i int) {
+		m := rq.Moduli[i]
+		m.VecAddMod(d0.Coeffs[i], d0.Coeffs[i], ks0.Coeffs[i])
+		m.VecAddMod(d1.Coeffs[i], d1.Coeffs[i], ks1.Coeffs[i])
+	})
 	ev.Kc.VecAddN += 2 * (lvl + 1)
 
 	return &Ciphertext{C0: d0, C1: d1, Level: lvl, Scale: ct1.Scale * ct2.Scale}, nil
+}
+
+// tensor sets d0 = a0·b0, d1 = a0·b1 + a1·b0 and d2 = a1·b1 over the
+// limbs of d0, one limb per task, for ciphertexts (a0, a1) and
+// (b0, b1). d1 must be zero. When the parameters allow it (lazyKeyIP
+// implies 2·(q−1)² < 2^64) d1's two products are summed in one word and
+// reduced once; otherwise each is reduced. Every output is fully
+// reduced, so both paths agree.
+func (ev *Evaluator) tensor(ct1, ct2 *Ciphertext, d0, d1, d2 *ring.Poly) {
+	rq := ev.p.RingQP
+	lazy := ev.p.lazyKeyIP
+	rq.ForLimbs(len(d0.Coeffs), func(i int) {
+		m := rq.Moduli[i]
+		a0, a1 := ct1.C0.Coeffs[i], ct1.C1.Coeffs[i]
+		b0, b1 := ct2.C0.Coeffs[i], ct2.C1.Coeffs[i]
+		m.VecMulMod(d0.Coeffs[i], a0, b0, modarith.Barrett)
+		m.VecMulMod(d2.Coeffs[i], a1, b1, modarith.Barrett)
+		if lazy {
+			rns.MulAddLazy(m, d1.Coeffs[i], a0, b1)
+			rns.MulAddReduce(m, d1.Coeffs[i], a1, b0)
+		} else {
+			m.VecMulMod(d1.Coeffs[i], a0, b1, modarith.Barrett)
+			m.VecMulAddMod(d1.Coeffs[i], a1, b0)
+		}
+	})
 }
 
 // Rescale divides the ciphertext by its top prime, dropping one level
@@ -180,13 +203,13 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 // rescale computes round(c / q_lvl) in RNS for both polynomials of a
 // ciphertext: INTT the top limb, re-embed it into the remaining limbs,
 // subtract, and multiply by q_lvl⁻¹ (the exact-division trick; the
-// rounding error is folded into the ciphertext noise). The 2·lvl
+// rounding error is folded into the ciphertext noise). The top limb is
+// carried over by its centred lift, so the division rounds. The 2·lvl
 // output limbs are spread over the ring's workers.
 func (ev *Evaluator) rescale(c0, c1 *ring.Poly, lvl int) (*ring.Poly, *ring.Poly) {
 	rq := ev.p.RingQP
 	n := ev.p.N()
 	qTop := ev.p.QPrimes[lvl]
-	half := qTop >> 1
 
 	in := [2]*ring.Poly{c0, c1}
 	tb0, tb1 := rq.GetScratch(), rq.GetScratch()
@@ -202,27 +225,12 @@ func (ev *Evaluator) rescale(c0, c1 *ring.Poly, lvl int) (*ring.Poly, *ring.Poly
 	rq.ForLimbs(2*lvl, func(t int) {
 		h, i := t/lvl, t%lvl
 		m := rq.Moduli[i]
-		top, src, dst := tops[h], in[h].Coeffs[i], out[h].Coeffs[i]
-		// Centered embedding of the top-limb residues into q_i.
-		for k := 0; k < n; k++ {
-			v := top[k]
-			if v > half {
-				dst[k] = m.Q - m.Reduce(qTop-v)
-				if dst[k] == m.Q {
-					dst[k] = 0
-				}
-			} else {
-				dst[k] = m.Reduce(v)
-			}
-		}
+		dst := out[h].Coeffs[i]
+		m.VecReduceCentered(dst, tops[h], qTop)
 		rq.NTTLimb(i, dst)
 		// (c_i − top) · qTop⁻¹ mod q_i
 		inv := m.InvMod(m.Reduce(qTop))
-		invS := m.ShoupPrecompute(inv)
-		for k := 0; k < n; k++ {
-			diff := m.SubMod(src[k], dst[k])
-			dst[k] = m.ShoupMulFull(diff, inv, invS)
-		}
+		m.VecSubScalarMulModShoup(dst, in[h].Coeffs[i], dst, inv, m.ShoupPrecompute(inv))
 	})
 	ev.Kc.INTTLimbs += 2
 	ev.Kc.NTTLimbs += 2 * lvl
@@ -251,7 +259,6 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) 
 	}
 	rq := ev.p.RingQP
 	lvl := ct.Level
-	n := ev.p.N()
 
 	// The slot table is built once per galois element and cached in the
 	// ring's arena; this lookup is allocation-free afterwards.
@@ -260,18 +267,28 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) 
 		return nil, err
 	}
 
-	c0 := ring.NewPoly(lvl+1, n)
 	c1s := ev.getPoly(lvl+1, false)
 	c1 := &c1s.view
-	rq.AutomorphismNTT(ct.C0, c0, idx)
-	rq.AutomorphismNTT(ct.C1, c1, idx)
-	ev.Kc.Automorph += 2 * (lvl + 1)
-
+	rq.ForLimbs(lvl+1, func(i int) { rq.AutomorphismNTTLimb(ct.C1.Coeffs[i], c1.Coeffs[i], idx) })
 	ks0, ks1 := ev.keySwitch(c1, lvl, &gk.SwitchingKey)
 	ev.putPoly(c1s)
-	rq.Add(c0, ks0, c0)
+	c0 := ev.automorphAdd(ct.C0, ks0, idx)
+	ev.Kc.Automorph += 2 * (lvl + 1)
 	ev.Kc.VecAddN += lvl + 1
 	return &Ciphertext{C0: c0, C1: ks1, Level: lvl, Scale: ct.Scale}, nil
+}
+
+// automorphAdd returns τ(c) + ks for the automorphism with slot table
+// idx, one limb per task: the C0 tail of a rotation.
+func (ev *Evaluator) automorphAdd(c, ks *ring.Poly, idx []int) *ring.Poly {
+	rq := ev.p.RingQP
+	out := ring.NewPoly(len(ks.Coeffs), ev.p.N())
+	rq.ForLimbs(len(out.Coeffs), func(i int) {
+		dst := out.Coeffs[i]
+		rq.AutomorphismNTTLimb(c.Coeffs[i], dst, idx)
+		rq.Moduli[i].VecAddMod(dst, dst, ks.Coeffs[i])
+	})
+	return out
 }
 
 // keySwitch applies the hybrid key switch (Han–Ki) to a single NTT-domain
@@ -426,11 +443,7 @@ func (ev *Evaluator) modDown(acc0, acc1 *ring.Poly, lvl int) (*ring.Poly, *ring.
 		conv.Step2Row(i, dst, acc.Coeffs[p.L:p.L+alpha])
 		rq.NTTLimb(i, dst)
 		inv := p.PInvModQ(i)
-		invS := m.ShoupPrecompute(inv)
-		src := acc.Coeffs[i]
-		for k := 0; k < n; k++ {
-			dst[k] = m.ShoupMulFull(m.SubMod(src[k], dst[k]), inv, invS)
-		}
+		m.VecSubScalarMulModShoup(dst, acc.Coeffs[i], dst, inv, m.ShoupPrecompute(inv))
 	})
 	ev.Kc.INTTLimbs += 2 * alpha
 	ev.Kc.BConvCalls += 2

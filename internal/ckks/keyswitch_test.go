@@ -9,8 +9,9 @@ import (
 )
 
 // TestLazyKeyIPPredicate pins which parameter sets sum the key inner
-// product lazily: the paper's 28-bit primes (29-bit special primes) do
-// at every dnum it uses, 40-bit primes cannot.
+// product and the tensor product's cross terms lazily: the paper's
+// 28-bit primes (29-bit special primes) do at every dnum it uses,
+// 40-bit primes cannot.
 func TestLazyKeyIPPredicate(t *testing.T) {
 	for _, tc := range []struct {
 		logN     int
@@ -23,6 +24,9 @@ func TestLazyKeyIPPredicate(t *testing.T) {
 		{10, 28, 6, 6, true},
 		{10, 40, 6, 3, false},
 		{10, 40, 6, 1, false},
+		// One digit still needs two products in a word, for the tensor
+		// product: the 32-bit special primes exceed 2^31.5.
+		{10, 31, 4, 1, false},
 	} {
 		p := MustParameters(tc.logN, tc.logScale, tc.l, tc.dnum)
 		if p.lazyKeyIP != tc.want {

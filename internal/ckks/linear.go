@@ -66,11 +66,7 @@ func (ev *Evaluator) applyHoisted(h *hoistedDecomposition, idx []int, swk *Switc
 		if idx != nil {
 			p.RingQP.ForLimbs(len(extLimbs), func(t int) {
 				i := extLimbs[t]
-				dst := tmp.Coeffs[i]
-				from := ext.Coeffs[i]
-				for k := range dst {
-					dst[k] = from[idx[k]]
-				}
+				p.RingQP.AutomorphismNTTLimb(ext.Coeffs[i], tmp.Coeffs[i], idx)
 			})
 			src = tmp
 			ev.Kc.Automorph += len(extLimbs)
@@ -90,7 +86,6 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) ([]*Ciphertext, err
 	p := ev.p
 	rq := p.RingQP
 	lvl := ct.Level
-	n := p.N()
 
 	h := ev.decompose(ct.C1, lvl)
 	out := make([]*Ciphertext, len(ks))
@@ -109,10 +104,8 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) ([]*Ciphertext, err
 			return nil, err
 		}
 		ks0, ks1 := ev.applyHoisted(h, idx, &gk.SwitchingKey)
-		c0 := ring.NewPoly(lvl+1, n)
-		rq.AutomorphismNTT(ct.C0, c0, idx)
+		c0 := ev.automorphAdd(ct.C0, ks0, idx)
 		ev.Kc.Automorph += lvl + 1
-		rq.Add(c0, ks0, c0)
 		ev.Kc.VecAddN += lvl + 1
 		out[i] = &Ciphertext{C0: c0, C1: ks1, Level: lvl, Scale: ct.Scale}
 	}

@@ -48,9 +48,10 @@ type Parameters struct {
 	bigP     *big.Int
 	pModQ    []uint64 // P mod q_i, the key-switch key scaling factor
 	pInvModQ []uint64 // P⁻¹ mod q_i, the ModDown scaling factor
-	// lazyKeyIP is set when dnum·(q_max−1)² < 2^64 over Q ∪ P, so the
-	// key-switch inner product can sum raw products across all digits
-	// and reduce once (see keyInnerProduct).
+	// lazyKeyIP is set when max(dnum, 2)·(q_max−1)² < 2^64 over Q ∪ P,
+	// so the key-switch inner product can sum raw products across all
+	// digits and reduce once (see keyInnerProduct), and the tensor
+	// product can sum its two cross terms the same way (see tensor).
 	lazyKeyIP bool
 
 	// cacheMu guards the converter and basis caches, which evaluators
@@ -104,7 +105,7 @@ func NewParameters(logN int, logScale uint, l, dnum int) (*Parameters, error) {
 		RingQP:     rq,
 		QPrimes:    qPrimes,
 		PPrimes:    pPrimes,
-		lazyKeyIP:  digitSumFitsWord(all, dnum),
+		lazyKeyIP:  digitSumFitsWord(all, max(dnum, 2)),
 		convCache:  make(map[string]*rns.Converter),
 		basisCache: make(map[string]*rns.Basis),
 	}

@@ -58,9 +58,10 @@ func TestKernelsBitExact(t *testing.T) {
 }
 
 // kernelTour builds keys at logN 10, L 6, dnum 3 and returns the SHA-256
-// of every ciphertext that Encrypt, MulRelin, Rescale, Rotate,
-// Conjugate, RotateHoisted and EvalLinearTransform produce, with the
-// evaluator's kernel counters.
+// of every ciphertext that Encrypt, MulPlain, Add, Sub, AddPlain,
+// MulRelin, Rescale, Rotate, Conjugate, RotateHoisted and
+// EvalLinearTransform produce and of the plaintext Decrypt returns,
+// with the evaluator's kernel counters.
 func kernelTour(t *testing.T, logScale uint, workers int) ([]string, KernelCounters) {
 	t.Helper()
 	p := MustParameters(10, logScale, 6, 3)
@@ -87,6 +88,10 @@ func kernelTour(t *testing.T, logScale uint, workers int) ([]string, KernelCount
 		}
 		return ct
 	}
+	mulPlain := must(tc.ev.MulPlain(ct1, pt2))
+	sum := must(tc.ev.Add(ct1, ct2))
+	diff := must(tc.ev.Sub(ct1, ct2))
+	addPlain := must(tc.ev.AddPlain(ct1, pt2))
 	prod := must(tc.ev.MulRelin(ct1, ct2))
 	res := must(tc.ev.Rescale(prod))
 	rot := must(tc.ev.Rotate(res, 1))
@@ -97,12 +102,79 @@ func kernelTour(t *testing.T, logScale uint, workers int) ([]string, KernelCount
 		t.Fatal(err)
 	}
 	var sums []string
-	for _, ct := range append([]*Ciphertext{ct1, ct2, prod, res, rot, conj, mv}, hoisted...) {
+	for _, ct := range append([]*Ciphertext{ct1, ct2, mulPlain, sum, diff, addPlain, prod, res, rot, conj, mv}, hoisted...) {
 		var buf bytes.Buffer
 		if _, err := ct.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())))
 	}
+	var buf bytes.Buffer
+	if _, err := tc.dec.Decrypt(prod).Value.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sums = append(sums, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())))
 	return sums, tc.ev.Kc
+}
+
+// TestRescaleEmbeddingAVX512VsGo checks Rescale's centred lift of the
+// top limb (VecReduceCentered) with the AVX-512 kernels on and off, for
+// a top prime above and below the target prime, at the inputs where the
+// lift changes sign (half, half+1) and at the ends of the range.
+func TestRescaleEmbeddingAVX512VsGo(t *testing.T) {
+	if !simd.AVX512 {
+		t.Skip("no AVX-512: assembly twins not exercised")
+	}
+	p := MustParameters(10, 28, 4, 2)
+	rng := rand.New(rand.NewSource(81))
+	moduli := p.RingQP.Moduli
+	for _, pair := range [][2]int{{0, 3}, {3, 0}, {1, 2}, {2, 1}} {
+		m, qTop := moduli[pair[0]], moduli[pair[1]].Q
+		half := qTop >> 1
+		for _, n := range []int{8, 21, p.N()} {
+			top := make([]uint64, n)
+			for k := range top {
+				top[k] = rng.Uint64() % qTop
+			}
+			copy(top, []uint64{half, half + 1, 0, qTop - 1})
+			got := make([]uint64, n)
+			m.VecReduceCentered(got, top, qTop)
+			want := make([]uint64, n)
+			withKernels(false, func() { m.VecReduceCentered(want, top, qTop) })
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("q=%d qTop=%d n=%d: [%d] AVX-512 %d, Go %d", m.Q, qTop, n, k, got[k], want[k])
+				}
+			}
+			if want[0] != half%m.Q || want[1] != m.NegMod((qTop-half-1)%m.Q) || want[2] != 0 || want[3] != m.Q-1 {
+				t.Fatalf("q=%d qTop=%d: centred lift of (half, half+1, 0, qTop−1) = %v", m.Q, qTop, want[:4])
+			}
+		}
+	}
+}
+
+// TestKernelCountsPinned pins the kernel counters of MulRelin → Rescale
+// → Rotate(1) at L 15, dnum 3, the shape of the keyswitch-setc request.
+// The counts do not depend on N, so logN 10 serves; crossperf reports
+// them per request as its ckks.* counts.
+func TestKernelCountsPinned(t *testing.T) {
+	tc := newTestContextFor(t, MustParameters(10, 28, 15, 3), []int{1})
+	rng := rand.New(rand.NewSource(82))
+	pt, _ := tc.enc.Encode(randomSlots(rng, tc.p.Slots()))
+	ct := tc.ctr.Encrypt(pt)
+	prod, err := tc.ev.MulRelin(ct, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tc.ev.Rescale(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.ev.Rotate(res, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := KernelCounters{NTTLimbs: 174, INTTLimbs: 51, BConvCalls: 12, VecMulN: 380, VecAddN: 379, Automorph: 28}
+	if tc.ev.Kc != want {
+		t.Fatalf("kernel counters %+v, want %+v", tc.ev.Kc, want)
+	}
 }

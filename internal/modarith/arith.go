@@ -34,6 +34,10 @@ type Modulus struct {
 	qTimes2       uint64 // 2q, the lazy-reduction bound
 	qTimes4       uint64 // 4q, bound used by fused lazy butterflies
 	hasMontgomery bool   // q must be odd
+
+	// word holds the constants of the AVX-512 one-word reduction; set
+	// only when q < 2^32, the bound of every kernel that uses it.
+	word WordReducer
 }
 
 // NewModulus constructs a Modulus for prime q. It returns an error when q
@@ -61,6 +65,9 @@ func NewModulus(q uint64) (*Modulus, error) {
 	m.BarrettHi, m.BarrettLo = divPow2ByQ(m.BarrettShift, q)
 	m.barrett64Hi, m.barrett64Lo = divPow2ByQ(128, q)
 	m.barrettWord, _ = bits.Div64(1, 0, q)
+	if q < 1<<32 {
+		m.word = newWordReducer(q)
+	}
 
 	// Montgomery constants for R = 2^64.
 	m.MontQInvNeg = negInvPow2(q)

@@ -14,7 +14,8 @@
 //     bases for the CKKS parameter sets in Tab. IV.
 //   - Vectorised modular kernels (VecModAdd/Sub/Mul etc., Tab. III) that
 //     model the TPU VPU's element-wise arithmetic and that also serve as
-//     the native CPU execution path.
+//     the native CPU execution path, with AVX-512 assembly twins that
+//     internal/simd selects on hosts that have it.
 //
 // Reduction outputs follow the paper's lazy-reduction convention: the
 // Montgomery and Shoup kernels return values in [0, 2q) and callers

@@ -1,6 +1,10 @@
 package modarith
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"cross/internal/simd"
+)
 
 // Vectorised modular kernels (Tab. III primitives). These are the
 // element-wise operations that the paper profiles as VecModAdd,
@@ -11,6 +15,12 @@ import "math/bits"
 // Unless stated otherwise, inputs are in [0, q), outputs in [0, q), and
 // dst may alias a or b. All kernels panic if the slice lengths differ —
 // a length mismatch is a compiler bug, not a runtime condition.
+//
+// Add, sub, the Barrett multiply, the scalar Shoup multiply and the
+// fused subtract-and-scale and centred-lift kernels have AVX-512 twins
+// (vec_amd64.s), each gated on simd.AVX512 and its own prime bound; the
+// twins cover the 8-lane prefix and the loops here the tail, with
+// identical outputs.
 
 func checkLen3(dst, a, b []uint64) {
 	if len(dst) != len(a) || len(a) != len(b) {
@@ -28,7 +38,10 @@ func checkLen2(dst, a []uint64) {
 func (m *Modulus) VecAddMod(dst, a, b []uint64) {
 	checkLen3(dst, a, b)
 	q := m.Q
-	i := 0
+	i := vectorPrefix(simd.AVX512, len(dst))
+	if i > 0 {
+		addModAVX512(dst[:i], a, b, q)
+	}
 	for ; i <= len(dst)-4; i += 4 {
 		s0 := a[i] + b[i]
 		s1 := a[i+1] + b[i+1]
@@ -61,7 +74,10 @@ func (m *Modulus) VecAddMod(dst, a, b []uint64) {
 func (m *Modulus) VecSubMod(dst, a, b []uint64) {
 	checkLen3(dst, a, b)
 	q := m.Q
-	i := 0
+	i := vectorPrefix(simd.AVX512, len(dst))
+	if i > 0 {
+		subModAVX512(dst[:i], a, b, q)
+	}
 	for ; i <= len(dst)-4; i += 4 {
 		d0 := a[i] + q - b[i]
 		d1 := a[i+1] + q - b[i+1]
@@ -118,7 +134,11 @@ func (m *Modulus) VecMulMod(dst, a, b []uint64, alg ReduceAlgorithm) {
 }
 
 func (m *Modulus) vecMulBarrett(dst, a, b []uint64) {
-	for i := range dst {
+	i := vectorPrefix(m.vectorWord(), len(dst))
+	if i > 0 {
+		mulModAVX512(dst[:i], a, b, &m.word)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = m.BarrettMul(a[i], b[i])
 	}
 }
@@ -200,7 +220,10 @@ func (m *Modulus) VecScalarMulMod(dst, a []uint64, c uint64) {
 func (m *Modulus) VecScalarMulModShoup(dst, a []uint64, w, ws uint64) {
 	checkLen2(dst, a)
 	q := m.Q
-	i := 0
+	i := vectorPrefix(m.vectorWord(), len(dst))
+	if i > 0 {
+		scalarMulAVX512(dst[:i], a, w, ws>>32, q)
+	}
 	for ; i <= len(dst)-4; i += 4 {
 		h0, _ := bits.Mul64(a[i], ws)
 		h1, _ := bits.Mul64(a[i+1], ws)
@@ -226,6 +249,41 @@ func (m *Modulus) VecScalarMulModShoup(dst, a []uint64, w, ws uint64) {
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = m.ShoupMulFull(a[i], w, ws)
+	}
+}
+
+// VecSubScalarMulModShoup computes dst[i] = (a[i] − b[i])·w mod q for a
+// constant scalar w in [0, q) with precomputed Shoup quotient ws: the
+// subtract-and-scale that closes Rescale and ModDown. dst may alias a
+// or b.
+func (m *Modulus) VecSubScalarMulModShoup(dst, a, b []uint64, w, ws uint64) {
+	checkLen3(dst, a, b)
+	i := vectorPrefix(m.vectorSubScale(), len(dst))
+	if i > 0 {
+		subScaleAVX512(dst[:i], a, b, w, ws>>32, m.Q)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = m.ShoupMulFull(m.SubMod(a[i], b[i]), w, ws)
+	}
+}
+
+// VecReduceCentered sets dst[i] to the centred lift of a[i] mod p,
+// reduced mod q: a[i] for a[i] ≤ ⌊p/2⌋, otherwise a[i] − p. a holds
+// residues in [0, p); Rescale uses it to carry the top limb into the
+// others. dst may alias a.
+func (m *Modulus) VecReduceCentered(dst, a []uint64, p uint64) {
+	checkLen2(dst, a)
+	half := p >> 1
+	i := vectorPrefix(m.vectorWord(), len(dst))
+	if i > 0 {
+		centerAVX512(dst[:i], a, p, half, &m.word)
+	}
+	for ; i < len(dst); i++ {
+		if v := a[i]; v > half {
+			dst[i] = m.NegMod(m.Reduce(p - v))
+		} else {
+			dst[i] = m.Reduce(v)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cross/internal/modarith"
+	"cross/internal/simd"
 )
 
 // The allocation-free discipline of the hot paths is part of the API
@@ -63,7 +64,11 @@ func TestMatNTTZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestAutomorphismNTTZeroAllocs also pins the element-wise ring ops the
+// key switch uses to 0 allocs/op, on the AVX-512 kernels where the host
+// has them.
 func TestAutomorphismNTTZeroAllocs(t *testing.T) {
+	t.Logf("kernel backend: %s", simd.Kernels())
 	n := 1 << 10
 	primes, err := modarith.GenerateNTTPrimes(28, uint64(n), 1)
 	if err != nil {
@@ -75,8 +80,16 @@ func TestAutomorphismNTTZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, out := NewPoly(1, n), NewPoly(1, n)
-	if avg := testing.AllocsPerRun(100, func() { rg.AutomorphismNTT(in, out, idx) }); avg != 0 {
-		t.Fatalf("AutomorphismNTT allocates %.2f/op, want 0", avg)
+	for name, f := range map[string]func(){
+		"AutomorphismNTT":     func() { rg.AutomorphismNTT(in, out, idx) },
+		"AutomorphismNTTLimb": func() { rg.AutomorphismNTTLimb(in.Coeffs[0], out.Coeffs[0], idx) },
+		"Add":                 func() { rg.Add(in, out, out) },
+		"Sub":                 func() { rg.Sub(in, out, out) },
+		"MulCoeffs":           func() { rg.MulCoeffs(in, out, out) },
+	} {
+		if avg := testing.AllocsPerRun(100, f); avg != 0 {
+			t.Fatalf("%s allocates %.2f/op, want 0", name, avg)
+		}
 	}
 	// The cached index lookup itself must also be free after the first
 	// build (one table per galois element, shared across views).

@@ -77,10 +77,15 @@ func (r *Ring) AutomorphismNTTIndex(t uint64) ([]int, error) {
 // precomputed index from AutomorphismNTTIndex. out must not alias in.
 func (r *Ring) AutomorphismNTT(in, out *Poly, index []int) {
 	for l := 0; l <= in.Level() && l <= out.Level(); l++ {
-		src, dst := in.Coeffs[l], out.Coeffs[l]
-		for k := range dst {
-			dst[k] = src[index[k]]
-		}
+		r.AutomorphismNTTLimb(in.Coeffs[l], out.Coeffs[l], index)
+	}
+}
+
+// AutomorphismNTTLimb is AutomorphismNTT for one limb, so callers can
+// spread the limbs over workers. out must not alias in.
+func (r *Ring) AutomorphismNTTLimb(in, out []uint64, index []int) {
+	for k := range out {
+		out[k] = in[index[k]]
 	}
 }
 

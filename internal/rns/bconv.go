@@ -174,8 +174,7 @@ func (c *Converter) Step2Row(j int, out []uint64, y [][]uint64) {
 				}
 			}
 			k0 = n &^ 7
-			r := newWordReducer(pm.Q)
-			step2RowAVX512(out[:k0], y, row, &r)
+			step2RowAVX512(out[:k0], y, row, pm.WordReducer())
 		}
 		var acc [step2Tile]uint64
 		for ; k0 < n; k0 += step2Tile {

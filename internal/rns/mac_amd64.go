@@ -2,15 +2,17 @@
 
 package rns
 
-// step2RowAVX512 sets out[k] = (Σ_i y[i][k]·row[i]) mod r.p for every
-// k < len(out), which must be a multiple of 8, with each sum in one
-// word and every input below 2^32.
+import "cross/internal/modarith"
+
+// step2RowAVX512 sets out[k] = (Σ_i y[i][k]·row[i]) mod r's prime for
+// every k < len(out), which must be a multiple of 8, with each sum in
+// one word and every input below 2^32.
 //
 //go:noescape
-func step2RowAVX512(out []uint64, y [][]uint64, row []uint64, r *wordReducer)
+func step2RowAVX512(out []uint64, y [][]uint64, row []uint64, r *modarith.WordReducer)
 
 // mulAddAVX512 adds x[k]·w[k] to acc[k] for every k < len(acc), a
-// multiple of 8, and reduces the sums mod r.p unless r is nil.
+// multiple of 8, and reduces the sums mod r's prime unless r is nil.
 //
 //go:noescape
-func mulAddAVX512(acc, x, w []uint64, r *wordReducer)
+func mulAddAVX512(acc, x, w []uint64, r *modarith.WordReducer)

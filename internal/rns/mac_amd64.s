@@ -4,10 +4,11 @@
 
 // AVX-512 one-word multiply-accumulate (DESIGN.md §11). Products of two
 // residues below 2^32 come from VPMULUDQ and sum in 64-bit lanes; the
-// caller guarantees the sums fit one word. REDUCE is the wordReducer
-// recipe, with the constants broadcast as Z15 = p, Z14 = 2p, Z13 = c,
-// Z12 = ⌊c·2^32/p⌋, Z11 = ⌊2^32/p⌋ and Z10 = 2^32 − 1. Only Z0–Z15
-// are used, so the closing VZEROUPPER clears every dirty upper half.
+// caller guarantees the sums fit one word. REDUCE is the
+// modarith.WordReducer recipe, with the constants broadcast as Z15 = p,
+// Z14 = 2p, Z13 = c, Z12 = ⌊c·2^32/p⌋, Z11 = ⌊2^32/p⌋ and
+// Z10 = 2^32 − 1. Only Z0–Z15 are used, so the closing VZEROUPPER
+// clears every dirty upper half.
 
 #define LOAD_REDUCER(R) \
 	VPBROADCASTQ 0(R), Z15;  \
