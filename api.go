@@ -356,6 +356,10 @@ func NewContext(opts ContextOptions) (*Context, error) {
 // Slots returns the number of complex plaintext slots.
 func (c *Context) Slots() int { return c.Params.Slots() }
 
+// ErrNonFinite is the error EncryptValues and Encoder.Encode return
+// for a slot value that is NaN or ±Inf, or that overflows once scaled.
+var ErrNonFinite = ckks.ErrNonFinite
+
 // EncryptValues encodes and encrypts a slot vector in one call.
 func (c *Context) EncryptValues(values []complex128) (*Ciphertext, error) {
 	pt, err := c.Encoder.Encode(values)

@@ -1,6 +1,8 @@
 package cross
 
 import (
+	"errors"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"strings"
@@ -48,6 +50,10 @@ func TestContextEndToEnd(t *testing.T) {
 		if cmplx.Abs(got[i]-z1[i]*z2[i]) > 1e-2 {
 			t.Fatalf("slot %d mul error %g", i, cmplx.Abs(got[i]-z1[i]*z2[i]))
 		}
+	}
+
+	if _, err := ctx.EncryptValues([]complex128{complex(math.NaN(), 0)}); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("EncryptValues of a NaN slot: err = %v, want ErrNonFinite", err)
 	}
 
 	rot, err := ctx.Evaluator.Rotate(ct1, 2)

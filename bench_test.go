@@ -330,6 +330,33 @@ func BenchmarkCPUHEOps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctx.Encoder.Encode(z); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Encrypt", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx.Encryptor.Encrypt(pt)
+		}
+	})
+	dec := ctx.Decryptor.Decrypt(ct1)
+	b.Run("Decrypt", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx.Decryptor.Decrypt(ct1)
+		}
+	})
+	b.Run("Decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx.Encoder.Decode(dec)
+		}
+	})
 	b.Run("MulPlain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -14,6 +15,13 @@ import (
 // message polynomial at ζ^(5^j) with ζ = e^(iπ/N), computed with the
 // "special FFT" over the 5-generated rotation group so that slot
 // rotations correspond to Galois automorphisms X ↦ X^(5^k).
+//
+// Both directions run in machine words, as in the full-RNS CKKS of
+// Cheon et al. (SAC 2018): Encode embeds each rounded coefficient into
+// the limbs with one-word reductions, and Decode reconstructs the
+// centred coefficients with Garner's mixed-radix CRT. math/big serves
+// only coefficients of magnitude 2^63 or more (Encode) or 2^64 or more
+// (Decode), and its results are bit-identical to the word paths'.
 type Encoder struct {
 	p *Parameters
 
@@ -63,9 +71,10 @@ func (e *Encoder) fftSpecial(vals []complex128) {
 	bitReverseInPlace(vals)
 	for length := 2; length <= n; length <<= 1 {
 		lenh, lenq := length>>1, length<<2
+		gap := e.m / lenq // lenq divides m = 2N: both are powers of two
 		for i := 0; i < n; i += length {
 			for j := 0; j < lenh; j++ {
-				idx := (e.rotGroup[j] % lenq) * e.m / lenq
+				idx := (e.rotGroup[j] & (lenq - 1)) * gap
 				u := vals[i+j]
 				v := vals[i+j+lenh] * e.ksiPows[idx]
 				vals[i+j] = u + v
@@ -80,9 +89,10 @@ func (e *Encoder) fftSpecialInv(vals []complex128) {
 	n := len(vals)
 	for length := n; length >= 2; length >>= 1 {
 		lenh, lenq := length>>1, length<<2
+		gap := e.m / lenq
 		for i := 0; i < n; i += length {
 			for j := 0; j < lenh; j++ {
-				idx := (lenq - e.rotGroup[j]%lenq) * e.m / lenq
+				idx := (lenq - e.rotGroup[j]&(lenq-1)) * gap
 				u := vals[i+j] + vals[i+j+lenh]
 				v := (vals[i+j] - vals[i+j+lenh]) * e.ksiPows[idx]
 				vals[i+j] = u
@@ -105,8 +115,16 @@ type Plaintext struct {
 	Scale float64
 }
 
+// ErrNonFinite reports a slot value that is NaN or ±Inf, or that
+// overflows float64 once scaled, so that it has no integer encoding.
+var ErrNonFinite = errors.New("ckks: value is not finite after scaling")
+
 // EncodeAtLevel embeds up to N/2 complex values into a plaintext at the
-// given level and scale. Missing slots are zero.
+// given level and scale. Missing slots are zero. Each coefficient is
+// rounded half away from zero; one below 2^63 in magnitude embeds into
+// the limbs with one-word reductions, and only larger ones go through
+// big.Int. A coefficient that is NaN or infinite, from the input or
+// from overflow once scaled, returns ErrNonFinite.
 func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (*Plaintext, error) {
 	if len(values) > e.n {
 		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), e.n)
@@ -118,16 +136,42 @@ func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (
 	copy(vals, values)
 	e.fftSpecialInv(vals)
 
-	// Layout: coefficient j carries Re, coefficient j+N/2 carries Im.
-	coeffs := make([]*big.Int, e.p.N())
-	for j := 0; j < e.n; j++ {
-		coeffs[j] = bigFromFloat(real(vals[j]) * scale)
-		coeffs[j+e.n] = bigFromFloat(imag(vals[j]) * scale)
+	ints := make([]int64, e.p.N())
+	var span float64 // the largest |x| rounded into ints
+	var wide []int   // coefficients of magnitude 2^63 or more
+	for k := range ints {
+		switch x := e.scaledCoeff(vals, k, scale); {
+		case math.Abs(x) < 0x1p63:
+			// Exactly bigFromFloat(x): both round half away from zero.
+			ints[k] = int64(math.Round(x))
+			span = max(span, math.Abs(x))
+		case math.IsNaN(x) || math.IsInf(x, 0):
+			return nil, fmt.Errorf("%w: coefficient %d is %v", ErrNonFinite, k, x)
+		default:
+			wide = append(wide, k)
+		}
 	}
 	pt := &Plaintext{Value: ring.NewPoly(level+1, e.p.N()), Level: level, Scale: scale}
-	e.setBigCoeffs(pt.Value, coeffs, level)
-	e.p.RingQP.NTT(pt.Value)
+	rq := e.p.RingQP
+	bound := uint64(math.Round(span))
+	for i := 0; i <= level; i++ {
+		rq.Moduli[i].VecReduceSigned(pt.Value.Coeffs[i], ints, bound)
+	}
+	for _, k := range wide {
+		e.setBigCoeff(pt.Value, k, bigFromFloat(e.scaledCoeff(vals, k, scale)), level)
+	}
+	rq.NTT(pt.Value)
 	return pt, nil
+}
+
+// scaledCoeff returns coefficient k of the message polynomial before
+// rounding: coefficient j < N/2 carries Re(vals[j])·scale and
+// coefficient j + N/2 carries Im(vals[j])·scale.
+func (e *Encoder) scaledCoeff(vals []complex128, k int, scale float64) float64 {
+	if k < e.n {
+		return real(vals[k]) * scale
+	}
+	return imag(vals[k-e.n]) * scale
 }
 
 // Encode embeds values at the maximum level and default scale.
@@ -139,53 +183,29 @@ func (e *Encoder) Encode(values []complex128) (*Plaintext, error) {
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	poly := pt.Value.CopyNew()
 	e.p.RingQP.INTT(poly)
-	coeffs := e.bigCoeffs(poly, pt.Level)
+	coeffs := make([]float64, e.p.N())
+	e.p.basisFor(qLimbs(pt.Level)).DecodeCenteredFloat(coeffs, poly.Coeffs[:pt.Level+1])
 
 	vals := make([]complex128, e.n)
-	for j := 0; j < e.n; j++ {
-		re := floatFromBig(coeffs[j]) / pt.Scale
-		im := floatFromBig(coeffs[j+e.n]) / pt.Scale
-		vals[j] = complex(re, im)
+	for j := range vals {
+		vals[j] = complex(coeffs[j]/pt.Scale, coeffs[j+e.n]/pt.Scale)
 	}
 	e.fftSpecial(vals)
 	return vals
 }
 
-// setBigCoeffs embeds signed big integers into the RNS limbs [0, level].
-func (e *Encoder) setBigCoeffs(p *ring.Poly, coeffs []*big.Int, level int) {
-	rq := e.p.RingQP
-	tmp := new(big.Int)
+// setBigCoeff embeds the signed big integer c as coefficient k of the
+// RNS limbs [0, level].
+func (e *Encoder) setBigCoeff(p *ring.Poly, k int, c *big.Int, level int) {
+	r, q := new(big.Int), new(big.Int)
 	for i := 0; i <= level; i++ {
-		q := new(big.Int).SetUint64(rq.Moduli[i].Q)
-		for k, c := range coeffs {
-			if c == nil {
-				p.Coeffs[i][k] = 0
-				continue
-			}
-			tmp.Mod(c, q) // Go big.Int Mod is Euclidean: result ≥ 0
-			p.Coeffs[i][k] = tmp.Uint64()
-		}
+		// Go's big.Int Mod is Euclidean: the result is ≥ 0.
+		p.Coeffs[i][k] = r.Mod(c, q.SetUint64(e.p.RingQP.Moduli[i].Q)).Uint64()
 	}
 }
 
-// bigCoeffs reconstructs centered big-integer coefficients via CRT over
-// limbs [0, level].
-func (e *Encoder) bigCoeffs(p *ring.Poly, level int) []*big.Int {
-	basis := e.p.basisFor(qLimbs(level))
-	n := e.p.N()
-	out := make([]*big.Int, n)
-	res := make([]uint64, level+1)
-	for k := 0; k < n; k++ {
-		for i := 0; i <= level; i++ {
-			res[i] = p.Coeffs[i][k]
-		}
-		out[k] = basis.DecodeCentered(res)
-	}
-	return out
-}
-
-// bigFromFloat rounds a float64 to the nearest big integer, exactly for
-// magnitudes beyond 2^53 (needed when scale × value overflows int64).
+// bigFromFloat rounds a finite float64 to the nearest big integer,
+// halves away from zero, exactly for magnitudes beyond 2^63.
 func bigFromFloat(f float64) *big.Int {
 	bf := new(big.Float).SetFloat64(f)
 	i, _ := bf.Int(nil)
@@ -198,11 +218,4 @@ func bigFromFloat(f float64) *big.Int {
 		i.Sub(i, big.NewInt(1))
 	}
 	return i
-}
-
-// floatFromBig converts a big integer to float64 (lossy for huge values;
-// decode tolerances absorb it).
-func floatFromBig(x *big.Int) float64 {
-	f, _ := new(big.Float).SetInt(x).Float64()
-	return f
 }

@@ -43,21 +43,18 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	e.smp.Ternary(rq, u)
 	rq.NTT(u)
 
-	e0 := ring.NewPoly(lvl+1, n)
-	e.smp.Gaussian(rq, e0)
-	rq.NTT(e0)
-	e1 := ring.NewPoly(lvl+1, n)
-	e.smp.Gaussian(rq, e1)
-	rq.NTT(e1)
-
+	// The errors are sampled straight into c0 and c1; the sums are
+	// exact mod q, so their order does not change the ciphertext.
 	c0 := ring.NewPoly(lvl+1, n)
-	rq.MulCoeffs(e.pk.B, u, c0)
-	rq.Add(c0, e0, c0)
-	rq.Add(c0, pt.Value, c0)
-
+	e.smp.Gaussian(rq, c0)
+	rq.NTT(c0)
 	c1 := ring.NewPoly(lvl+1, n)
-	rq.MulCoeffs(e.pk.A, u, c1)
-	rq.Add(c1, e1, c1)
+	e.smp.Gaussian(rq, c1)
+	rq.NTT(c1)
+
+	rq.MulCoeffsAndAdd(e.pk.B, u, c0)
+	rq.Add(c0, pt.Value, c0)
+	rq.MulCoeffsAndAdd(e.pk.A, u, c1)
 
 	return &Ciphertext{C0: c0, C1: c1, Level: lvl, Scale: pt.Scale}
 }

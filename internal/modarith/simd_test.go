@@ -94,6 +94,7 @@ func FuzzVecAVX512VsGo(f *testing.F) {
 			{"VecAddMod", true, func(dst []uint64) { m.VecAddMod(dst, a, b) }},
 			{"VecSubMod", true, func(dst []uint64) { m.VecSubMod(dst, a, b) }},
 			{"VecMulMod", m.vectorWord(), func(dst []uint64) { m.VecMulMod(dst, a, b, Barrett) }},
+			{"VecMulAddMod", m.vectorWord(), func(dst []uint64) { copy(dst, b); m.VecMulAddMod(dst, a, b) }},
 			{"VecScalarMulModShoup", m.vectorWord(), func(dst []uint64) { m.VecScalarMulModShoup(dst, a, w, ws) }},
 			{"VecSubScalarMulModShoup", m.vectorSubScale(), func(dst []uint64) { m.VecSubScalarMulModShoup(dst, a, b, w, ws) }},
 			{"VecReduceCentered", m.vectorWord(), func(dst []uint64) { m.VecReduceCentered(dst, top, p) }},

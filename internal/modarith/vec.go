@@ -302,11 +302,20 @@ func (m *Modulus) VecScalarMulAddMod(dst, a []uint64, c uint64) {
 	}
 }
 
-// VecMulAddMod computes dst[i] = (dst[i] + a[i]·b[i]) mod q.
+// VecMulAddMod computes dst[i] = (dst[i] + a[i]·b[i]) mod q. Where the
+// Barrett multiply has its AVX-512 twin, the products go through a
+// stack buffer one block at a time and the vector add folds them in.
 func (m *Modulus) VecMulAddMod(dst, a, b []uint64) {
 	checkLen3(dst, a, b)
 	q := m.Q
-	for i := range dst {
+	n := vectorPrefix(m.vectorWord(), len(dst))
+	var buf [256]uint64
+	for k := 0; k < n; k += len(buf) {
+		e := min(k+len(buf), n)
+		mulModAVX512(buf[:e-k], a[k:e], b[k:e], &m.word)
+		addModAVX512(dst[k:e], dst[k:e], buf[:e-k], q)
+	}
+	for i := n; i < len(dst); i++ {
 		s := dst[i] + m.BarrettMul(a[i], b[i])
 		if s >= q {
 			s -= q
@@ -320,6 +329,30 @@ func (m *Modulus) VecReduce(dst, a []uint64) {
 	checkLen2(dst, a)
 	for i := range dst {
 		dst[i] = m.Reduce(a[i])
+	}
+}
+
+// VecReduceSigned computes dst[i] = a[i] mod q in [0, q) without a
+// branch on the sign. bound must be at least every |a[i]|. When it is
+// below q, one masked add embeds each element: a negative a[i] read as
+// unsigned is a[i] + 2^64, which adding q wraps to a[i] + q. Otherwise
+// the unsigned reading is reduced first and 2^64 mod q (MontR) taken
+// off the negative elements, with one masked add of q undoing the
+// borrow.
+func (m *Modulus) VecReduceSigned(dst []uint64, a []int64, bound uint64) {
+	if len(dst) != len(a) {
+		panic("modarith: vector length mismatch")
+	}
+	q := m.Q
+	if bound < q {
+		for i, v := range a {
+			dst[i] = uint64(v) + q&uint64(v>>63)
+		}
+		return
+	}
+	for i, v := range a {
+		r, borrow := bits.Sub64(m.Reduce(uint64(v)), m.MontR&uint64(v>>63), 0)
+		dst[i] = r + q&-borrow
 	}
 }
 

@@ -1,6 +1,8 @@
 package modarith
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -235,5 +237,31 @@ func TestNewModuli(t *testing.T) {
 	}
 	if _, err := NewModuli([]uint64{4}); err == nil {
 		t.Error("expected error for composite")
+	}
+}
+
+func TestVecReduceSigned(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, q := range testPrimes {
+		m := MustModulus(q)
+		qi := int64(q)
+		a := []int64{0, 1, -1, qi, -qi, 2 * qi, -2 * qi, qi - 1, 1 - qi,
+			math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+		for range 64 {
+			a = append(a, int64(rng.Uint64()))
+		}
+		bq := new(big.Int).SetUint64(q)
+		check := func(a []int64, bound uint64) {
+			dst := make([]uint64, len(a))
+			m.VecReduceSigned(dst, a, bound)
+			for i, v := range a {
+				if want := new(big.Int).Mod(big.NewInt(v), bq).Uint64(); dst[i] != want {
+					t.Fatalf("q=%d bound=%d: VecReduceSigned(%d) = %d, want %d", q, bound, v, dst[i], want)
+				}
+			}
+		}
+		check(a, math.MaxUint64)
+		// The masked-add path: every |a[i]| ≤ q − 1.
+		check([]int64{0, 1, -1, qi - 1, 1 - qi, qi / 2, -qi / 2}, q-1)
 	}
 }

@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -198,22 +200,21 @@ func TestSamplerDistributions(t *testing.T) {
 	}
 }
 
+// TestSetSigned checks SetSigned against big.Int's Euclidean mod,
+// including the multiples of q that once embedded as q instead of 0.
 func TestSetSigned(t *testing.T) {
-	r := testRing(t, 8, 2)
+	r := testRing(t, 16, 2)
 	s := NewSampler(1)
 	p := r.NewPoly()
-	vals := []int64{0, 1, -1, 5, -5, 100, -100, 0}
+	q0, q1 := int64(r.Moduli[0].Q), int64(r.Moduli[1].Q)
+	vals := []int64{0, 1, -1, 5, -100, q0, -q0, 2 * q0, -2 * q0, q1, -q1, -2 * q1,
+		math.MinInt64 + 1, math.MinInt64, math.MaxInt64}
 	s.SetSigned(r, p, vals)
 	for i, m := range r.Moduli {
 		for k, v := range vals {
-			var want uint64
-			if v >= 0 {
-				want = uint64(v)
-			} else {
-				want = m.Q - uint64(-v)
-			}
+			want := new(big.Int).Mod(big.NewInt(v), new(big.Int).SetUint64(m.Q)).Uint64()
 			if p.Coeffs[i][k] != want {
-				t.Fatalf("limb %d coeff %d: got %d want %d", i, k, p.Coeffs[i][k], want)
+				t.Fatalf("limb %d: SetSigned(%d) = %d, want %d", i, v, p.Coeffs[i][k], want)
 			}
 		}
 	}

@@ -32,9 +32,9 @@ func NewSamplerWithSigma(seed int64, sigma float64) *Sampler {
 // Uniform fills p with coefficients uniform in [0, q_i) per limb.
 func (s *Sampler) Uniform(r *Ring, p *Poly) {
 	for i := 0; i <= p.Level(); i++ {
-		q := r.Moduli[i].Q
+		m := r.Moduli[i]
 		for k := range p.Coeffs[i] {
-			p.Coeffs[i][k] = s.rng.Uint64() % q
+			p.Coeffs[i][k] = m.Reduce(s.rng.Uint64())
 		}
 	}
 }
@@ -42,24 +42,11 @@ func (s *Sampler) Uniform(r *Ring, p *Poly) {
 // Ternary fills p with a ternary polynomial (coefficients in {-1,0,1},
 // uniform) represented consistently across all limbs.
 func (s *Sampler) Ternary(r *Ring, p *Poly) {
-	n := p.N()
-	vals := make([]int8, n)
+	vals := make([]int64, p.N())
 	for k := range vals {
-		vals[k] = int8(s.rng.Intn(3)) - 1
+		vals[k] = int64(s.rng.Intn(3)) - 1
 	}
-	for i := 0; i <= p.Level(); i++ {
-		m := r.Moduli[i]
-		for k, v := range vals {
-			switch v {
-			case 1:
-				p.Coeffs[i][k] = 1
-			case -1:
-				p.Coeffs[i][k] = m.Q - 1
-			default:
-				p.Coeffs[i][k] = 0
-			}
-		}
-	}
+	s.setSigned(r, p, vals, 1)
 }
 
 // Gaussian fills p with a rounded-Gaussian error polynomial, the same
@@ -78,23 +65,18 @@ func (s *Sampler) Gaussian(r *Ring, p *Poly) {
 		}
 		vals[k] = v
 	}
-	s.setSigned(r, p, vals)
+	s.setSigned(r, p, vals, uint64(bound))
 }
 
-// SetSigned embeds small signed integers into all limbs of p.
+// SetSigned embeds signed integers into all limbs of p: limb i holds
+// vals[k] mod q_i in [0, q_i).
 func (s *Sampler) SetSigned(r *Ring, p *Poly, vals []int64) {
-	s.setSigned(r, p, vals)
+	s.setSigned(r, p, vals, math.MaxUint64)
 }
 
-func (s *Sampler) setSigned(r *Ring, p *Poly, vals []int64) {
+// setSigned is SetSigned for values of magnitude at most bound.
+func (s *Sampler) setSigned(r *Ring, p *Poly, vals []int64, bound uint64) {
 	for i := 0; i <= p.Level(); i++ {
-		m := r.Moduli[i]
-		for k, v := range vals {
-			if v >= 0 {
-				p.Coeffs[i][k] = uint64(v) % m.Q
-			} else {
-				p.Coeffs[i][k] = m.Q - uint64(-v)%m.Q
-			}
-		}
+		r.Moduli[i].VecReduceSigned(p.Coeffs[i][:len(vals)], vals, bound)
 	}
 }

@@ -3,15 +3,18 @@
 // RNS represents a coefficient a ∈ [0, Q) by its residues modulo a chain
 // of pairwise-coprime primes {q_0, ..., q_{L-1}} with Q = Π q_i; each
 // residue vector of a degree-N polynomial is a "limb". The package
-// provides the basis bookkeeping, exact CRT reconstruction (for tests and
-// for the encoder), and the fast Basis Conversion (BConv) kernel of
-// Fig. 15b, whose step 2 is the (N, L, L')-ModMatMul that BAT accelerates
-// on the matrix engine (Tab. VI).
+// provides the basis bookkeeping, the decoder's word-size centred CRT
+// (Garner's mixed-radix reconstruction, DecodeCenteredFloat), the exact
+// big-integer CRT (Decode, DecodeCentered) that tests use as its
+// reference, and the fast Basis Conversion (BConv) kernel of Fig. 15b,
+// whose step 2 is the (N, L, L')-ModMatMul that BAT accelerates on the
+// matrix engine (Tab. VI).
 package rns
 
 import (
 	"fmt"
 	"math/big"
+	"sync"
 
 	"cross/internal/modarith"
 )
@@ -29,6 +32,11 @@ type Basis struct {
 	qHatInvShoup []uint64
 	// qHat[i] = Q/q_i as a big integer (used by exact reconstruction).
 	qHat []*big.Int
+
+	// garner holds DecodeCenteredFloat's constants, built on its first
+	// call so that the many bases BConv needs do not pay for them.
+	garnerOnce sync.Once
+	garner     *garner
 }
 
 // NewBasis builds a Basis from a list of distinct primes.
