@@ -659,6 +659,19 @@ const (
 // contract).
 func Serve(cfg ServeConfig) (*ServeResult, error) { return serve.Run(cfg) }
 
+// ErrArrivalOrder is the error Serve, ServeChaos and ServePlan return
+// when ServeConfig.Source yields a NaN or decreasing arrival time.
+var ErrArrivalOrder = serve.ErrArrivalOrder
+
+// ErrArrivalClass is the error Serve, ServeChaos and ServePlan return
+// when ServeConfig.Source yields a class index outside the mix.
+var ErrArrivalClass = serve.ErrArrivalClass
+
+// ErrRequestCap is the error Serve, ServeChaos and ServePlan return
+// when a scenario offers more requests than its stats mode may hold
+// (including a ServeConfig.Source that never ends).
+var ErrRequestCap = serve.ErrRequestCap
+
 // FaultConfig selects the deterministic fault-and-recovery scenario
 // for ServeConfig.Faults: pod crash/recover (exponential MTBF/MTTR),
 // transient stragglers, batch-level transient errors, plus the

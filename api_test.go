@@ -339,6 +339,25 @@ func TestServeFacade(t *testing.T) {
 	if _, err := Serve(ServeConfig{Policy: "teleport"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	if _, err := Serve(ServeConfig{Rate: 1e9, HorizonS: 1}); !errors.Is(err, ErrRequestCap) {
+		t.Errorf("oversized scenario: err = %v, want ErrRequestCap", err)
+	}
+	back := backwardsSource{0.002, 0.001}
+	if _, err := Serve(ServeConfig{HorizonS: 0.01, Source: &back}); !errors.Is(err, ErrArrivalOrder) {
+		t.Errorf("decreasing source: err = %v, want ErrArrivalOrder", err)
+	}
+}
+
+// backwardsSource offers its times in order, class 0 each.
+type backwardsSource []float64
+
+func (b *backwardsSource) Next() (float64, int, bool) {
+	if len(*b) == 0 {
+		return 0, 0, false
+	}
+	t := (*b)[0]
+	*b = (*b)[1:]
+	return t, 0, true
 }
 
 func TestServeFaultsFacade(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -16,10 +17,21 @@ import (
 // seeded Poisson process (the legacy arrival model, bit-identical to
 // the pre-interface stream) and trace replay; Config.Source accepts a
 // custom implementation, in which case the caller owns keeping the
-// Result reproducible.
+// Result reproducible. A custom source's run fails with ErrArrivalOrder
+// if a time is NaN or decreases, with ErrArrivalClass if a class is not
+// an index into the mix, and with ErrRequestCap if the source offers
+// more requests than the stats mode allows.
 type ArrivalSource interface {
 	Next() (t float64, class int, ok bool)
 }
+
+// ErrArrivalOrder is returned when an arrival source yields a time
+// that is NaN or earlier than the previous arrival.
+var ErrArrivalOrder = errors.New("serve: arrival times must be nondecreasing and not NaN")
+
+// ErrArrivalClass is returned when an arrival source yields a class
+// index outside [0, len(Mix)).
+var ErrArrivalClass = errors.New("serve: arrival class outside the mix")
 
 // poissonSource is the open-loop Poisson arrival process: exponential
 // inter-arrival times at the offered rate, class drawn from the mix —

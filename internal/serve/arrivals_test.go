@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -220,5 +221,75 @@ func TestPoissonSourceMatchesLegacyDraws(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("poisson source produced no arrivals")
+	}
+}
+
+// TestSourceErrorsReachCallers: an out-of-order custom source fails
+// Run, Chaos and Plan with ErrArrivalOrder rather than being silently
+// reordered.
+func TestSourceErrorsReachCallers(t *testing.T) {
+	cfg := func() Config {
+		return Config{
+			Spec: "TPUv5e", Set: "B", Pods: 2, HorizonS: 0.01, Mix: hemultOnly(),
+			Source: &sliceSource{times: []float64{0.001, 0.003, 0.002}, classes: []int{0, 0, 0}},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := Run(cfg()); return err }},
+		{"Chaos", func() error {
+			_, err := Chaos(ChaosConfig{Serve: cfg(), MTBFGrid: []float64{0, 0.005}})
+			return err
+		}},
+		{"Plan", func() error {
+			_, err := Plan(PlanConfig{Base: cfg(), TargetP99S: 1})
+			return err
+		}},
+	} {
+		if err := tc.run(); !errors.Is(err, ErrArrivalOrder) {
+			t.Errorf("%s: err = %v, want ErrArrivalOrder", tc.name, err)
+		}
+	}
+}
+
+// TestBuiltInSourcesNotCappedOnDraw: prepare bounds the built-in
+// sources by their expected size, and the drawn count is capped only
+// for a custom source. So a Plan whose full-capacity probe draws past
+// the cap (prepare checks only the auto rate, 0.7 × capacity) runs,
+// and so does a Poisson run whose expectation sits just under the cap,
+// whatever its seed.
+func TestBuiltInSourcesNotCappedOnDraw(t *testing.T) {
+	defer func(n int) { maxRequests = n }(maxRequests)
+	maxRequests = 200
+	fleet := []FleetGroup{{Device: "TPUv5e", Count: 2}}
+	base := Config{Set: "B", Fleet: fleet, HorizonS: 1e-3, Mix: hemultOnly()}
+	_, _, capRate, err := prepare(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := 0.9 * float64(maxRequests) / (autoRateFraction * capRate)
+	if capRate*horizon <= float64(maxRequests) {
+		t.Fatalf("capacity probe expects %g requests, not past the cap %d", capRate*horizon, maxRequests)
+	}
+	base.HorizonS = horizon
+	if _, err := Plan(PlanConfig{Base: base, Fleets: [][]FleetGroup{fleet}, TargetP99S: 1}); err != nil {
+		t.Errorf("Plan with a capacity probe past the cap: %v", err)
+	}
+
+	run := base
+	run.Rate = float64(maxRequests-1) / horizon
+	over := false
+	for seed := int64(1); seed <= 20; seed++ {
+		run.Seed = seed
+		r, err := Run(run)
+		if err != nil {
+			t.Fatalf("seed %d: Poisson run just under the cap: %v", seed, err)
+		}
+		over = over || r.Requests > maxRequests
+	}
+	if !over {
+		t.Error("no seed drew past the cap; the case is not exercised")
 	}
 }

@@ -52,27 +52,33 @@ func benchConfig(n int, streaming bool) Config {
 	return cfg
 }
 
-// BenchmarkSimHorizon is the satellite-2 smoke benchmark: simulator
+// BenchmarkSimHorizon is the event-engine smoke benchmark: simulator
 // cost must scale roughly linearly in the request count. Before the
 // index-tracked queue refactor, per-event O(queue) scans made long
 // horizons superlinear; a 10× horizon costing ≫10× here is the
-// regression signal.
+// regression signal. Both stats modes run: streaming is what long
+// horizons use, stored is the default every serve record uses.
 func BenchmarkSimHorizon(b *testing.B) {
-	for _, n := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("requests=%d", n), func(b *testing.B) {
-			cfg := benchConfig(n, true)
-			pt := syntheticTable(cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := newSim(cfg, pt)
-				s.run()
-				r := s.result(pt.capacity(cfg))
-				if r.Completed == 0 {
-					b.Fatal("benchmark sim served nothing")
+	for _, stats := range []string{StatsStreaming, StatsStored} {
+		for _, n := range []int{10_000, 100_000} {
+			b.Run(fmt.Sprintf("stats=%s/requests=%d", stats, n), func(b *testing.B) {
+				cfg := benchConfig(n, stats == StatsStreaming)
+				pt := syntheticTable(cfg)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s, err := newSim(cfg, pt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					s.run()
+					r := s.result(pt.capacity(cfg))
+					if r.Completed == 0 {
+						b.Fatal("benchmark sim served nothing")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -87,7 +93,10 @@ func TestMillionRequestStreamingHorizon(t *testing.T) {
 	const n = 1_000_000
 	cfg := benchConfig(n, true)
 	pt := syntheticTable(cfg)
-	s := newSim(cfg, pt)
+	s, err := newSim(cfg, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.run()
 	r := s.result(pt.capacity(cfg))
 	// Poisson fluctuation around n is a few per mille at this scale.

@@ -107,7 +107,10 @@ func Chaos(cc ChaosConfig) (*ChaosResult, error) {
 		} else {
 			cfg.Faults = &f
 		}
-		r := runPrepared(cfg, pt, capRate)
+		r, err := runPrepared(cfg, pt, capRate)
+		if err != nil {
+			return nil, fmt.Errorf("serve: chaos cell MTBF %g: %w", m, err)
+		}
 		p := ChaosPoint{
 			MTBFS:     m,
 			Goodput:   r.AchievedRate,

@@ -83,14 +83,20 @@ func Plan(pc PlanConfig) (*PlanResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: plan fleet %v: %w", fleet, err)
 		}
-		probe := func(rate float64) (float64, bool) {
+		probe := func(rate float64) (float64, bool, error) {
 			c := cfg
 			c.Rate = rate
-			r := runPrepared(c, pt, capRate)
-			return r.Latency.P99S, r.Latency.P99S <= pc.TargetP99S
+			r, err := runPrepared(c, pt, capRate)
+			if err != nil {
+				return 0, false, fmt.Errorf("serve: plan fleet %v: %w", fleet, err)
+			}
+			return r.Latency.P99S, r.Latency.P99S <= pc.TargetP99S, nil
 		}
 
-		pt99, ok := probe(capRate)
+		pt99, ok, err := probe(capRate)
+		if err != nil {
+			return nil, err
+		}
 		point := PlanPoint{
 			Fleet:         cfg.Fleet, // defaults resolved ($/hr filled in)
 			CapacityRate:  capRate,
@@ -102,7 +108,11 @@ func Plan(pc PlanConfig) (*PlanResult, error) {
 			lo, hi := 0.0, capRate
 			for i := 0; i < planBisectIters; i++ {
 				mid := 0.5 * (lo + hi)
-				if p99, okm := probe(mid); okm {
+				p99, okm, err := probe(mid)
+				if err != nil {
+					return nil, err
+				}
+				if okm {
 					lo = mid
 					point.MaxRate, point.P99S, point.Feasible = mid, p99, true
 				} else {

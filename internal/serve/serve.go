@@ -183,6 +183,9 @@ type Config struct {
 
 	// Source overrides the arrival stream entirely. The caller owns
 	// determinism: the Result is only reproducible if the source is.
+	// Times must be nondecreasing and not NaN (ErrArrivalOrder),
+	// classes must index Mix (ErrArrivalClass), and the stream must end
+	// within the request cap (ErrRequestCap).
 	Source ArrivalSource `json:"-"`
 
 	// MaxBatch caps the per-launch batch size (default 8; 1 disables
@@ -709,10 +712,23 @@ const autoRateFraction = 0.7
 // maxRequests bounds the arrival count so an absurd rate × horizon
 // cannot exhaust memory; streaming stats raise the bound (latencies
 // are no longer retained, only the request table remains per-arrival).
-const (
+// Variables only so tests can lower them.
+var (
 	maxRequests          = 2_000_000
 	maxRequestsStreaming = 100_000_000
 )
+
+// ErrRequestCap is returned when a scenario offers more requests than
+// its stats mode may hold (maxRequests, or maxRequestsStreaming).
+var ErrRequestCap = errors.New("serve: request cap exceeded")
+
+// requestCap is the arrival bound for a stats mode.
+func requestCap(stats string) int {
+	if stats == StatsStreaming {
+		return maxRequestsStreaming
+	}
+	return maxRequests
+}
 
 // prepare resolves and validates the config, prices the service-time
 // table, and resolves the offered rate against fleet capacity — the
@@ -752,10 +768,7 @@ func prepare(cfg Config) (Config, *priceTable, float64, error) {
 		return cfg, nil, 0, err
 	}
 	capRate := pt.capacity(cfg)
-	reqCap := maxRequests
-	if cfg.Stats == StatsStreaming {
-		reqCap = maxRequestsStreaming
-	}
+	reqCap := requestCap(cfg.Stats)
 	if len(cfg.TraceEvents) > 0 {
 		n := 0
 		for _, e := range cfg.TraceEvents {
@@ -767,7 +780,7 @@ func prepare(cfg Config) (Config, *priceTable, float64, error) {
 			return cfg, nil, 0, fmt.Errorf("serve: trace has no events within the %g s horizon", cfg.HorizonS)
 		}
 		if n > reqCap {
-			return cfg, nil, 0, fmt.Errorf("serve: trace has %d events, exceeding the %d-request cap", n, reqCap)
+			return cfg, nil, 0, fmt.Errorf("%w: trace has %d events, exceeding the %d-request cap", ErrRequestCap, n, reqCap)
 		}
 		cfg.Rate = float64(n) / cfg.HorizonS // echo: the trace's average offered rate
 		return cfg, pt, capRate, nil
@@ -779,8 +792,8 @@ func prepare(cfg Config) (Config, *priceTable, float64, error) {
 		return cfg, nil, 0, fmt.Errorf("serve: resolved arrival rate is zero (capacity %g)", capRate)
 	}
 	if cfg.Rate*cfg.HorizonS > float64(reqCap) {
-		return cfg, nil, 0, fmt.Errorf("serve: rate %g × horizon %g s exceeds the %d-request cap",
-			cfg.Rate, cfg.HorizonS, reqCap)
+		return cfg, nil, 0, fmt.Errorf("%w: rate %g × horizon %g s exceeds the %d-request cap",
+			ErrRequestCap, cfg.Rate, cfg.HorizonS, reqCap)
 	}
 	return cfg, pt, capRate, nil
 }
@@ -788,8 +801,10 @@ func prepare(cfg Config) (Config, *priceTable, float64, error) {
 // runPrepared executes one prepared scenario: service-time-derived
 // fault knobs are resolved here (they need the priced table), then
 // the event loop runs to completion. The resolved fault config is
-// echoed in the record, so a fault run is self-describing.
-func runPrepared(cfg Config, pt *priceTable, capRate float64) *Result {
+// echoed in the record, so a fault run is self-describing. The only
+// errors come from a custom arrival source (ErrArrivalOrder,
+// ErrArrivalClass, ErrRequestCap).
+func runPrepared(cfg Config, pt *priceTable, capRate float64) (*Result, error) {
 	if cfg.Faults != nil {
 		f := *cfg.Faults
 		mean := pt.meanBase(cfg)
@@ -801,9 +816,12 @@ func runPrepared(cfg Config, pt *priceTable, capRate float64) *Result {
 		}
 		cfg.Faults = &f
 	}
-	s := newSim(cfg, pt)
+	s, err := newSim(cfg, pt)
+	if err != nil {
+		return nil, err
+	}
 	s.run()
-	return s.result(capRate)
+	return s.result(capRate), nil
 }
 
 // Run executes one serving scenario to completion and returns its
@@ -813,7 +831,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runPrepared(cfg, pt, capRate), nil
+	return runPrepared(cfg, pt, capRate)
 }
 
 // fleetLabel renders the fleet for the human-readable summary.

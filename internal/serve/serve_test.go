@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 
 	"cross/internal/sweep"
@@ -287,22 +286,11 @@ func TestFullBatchNotStrandedBehindOtherClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &sim{cfg: cfg, pt: pt, pods: make([]podState, 1)}
-	s.classPrio = make([]int, len(cfg.Mix))
-	s.mixSLO = []int{-1, -1}
-	s.pods[0].queues = make([]intQueue, len(cfg.Mix))
-	s.pods[0].nq = make([]int, len(cfg.Mix))
-	s.pods[0].deadline = math.Inf(1)
-	s.pods[0].up = true
 	// One class-0 request, then a full class-1 batch shortly after.
-	s.reqs = []request{
-		{class: 0, arrival: 0.001, deadline: math.Inf(1)},
-		{class: 1, arrival: 0.002, deadline: math.Inf(1)},
-		{class: 1, arrival: 0.003, deadline: math.Inf(1)},
-	}
-	s.pending = len(s.reqs)
-	for i, r := range s.reqs {
-		s.push(event{at: r.arrival, kind: evArrival, req: i})
+	cfg.Source = &sliceSource{times: []float64{0.001, 0.002, 0.003}, classes: []int{0, 1, 1}}
+	s, err := newSim(cfg, pt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.run()
 

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"container/heap"
+	"fmt"
 	"math"
 
 	"cross/internal/faults"
@@ -37,19 +37,19 @@ func (r *rng) exp(rate float64) float64 {
 
 // Event kinds, in deterministic tie-break vocabulary: events at the
 // same instant fire in insertion order (seq), which the single
-// sequential loop makes total.
+// sequential loop makes total. Arrivals are not events: run merges
+// them from the request table (see newSim).
 const (
-	evArrival  = iota
-	evDeadline // batch-hold deadline (MaxDelayS)
-	evDone     // a launch finished on a pod (aux = exec id)
-	evCrash    // pod crash (fault injector)
-	evRecover  // pod recovery
-	evSuspect  // heartbeat timeout: mark a crashed pod down (aux = gen)
-	evSlowOn   // straggler window opens
-	evSlowOff  // straggler window closes
-	evTimeout  // per-request deadline expired (req)
-	evRetry    // backoff elapsed: re-dispatch a lost request (req)
-	evHedge    // hedge delay elapsed for a batch (aux = batch id)
+	evDeadline = iota // batch-hold deadline (MaxDelayS)
+	evDone            // a launch finished on a pod (aux = exec id)
+	evCrash           // pod crash (fault injector)
+	evRecover         // pod recovery
+	evSuspect         // heartbeat timeout: mark a crashed pod down (aux = gen)
+	evSlowOn          // straggler window opens
+	evSlowOff         // straggler window closes
+	evTimeout         // per-request deadline expired (req)
+	evRetry           // backoff elapsed: re-dispatch a lost request (req)
+	evHedge           // hedge delay elapsed for a batch (aux = batch id)
 )
 
 type event struct {
@@ -57,23 +57,64 @@ type event struct {
 	seq  int64
 	kind int
 	pod  int
-	req  int // request index (arrival/timeout/retry)
+	req  int // request index (timeout/retry)
 	aux  int // exec id (done), batch id (hedge), pod generation (suspect)
 }
 
-// eventHeap is a min-heap on (time, insertion sequence).
+// eventHeap is a binary min-heap on (time, insertion sequence). Seqs
+// are unique, so the pop order is the total (at, seq) order whatever
+// the heap's internal layout.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before is the heap order: earlier time first, ties by seq.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap must be
+// non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
 
 // Request states. Terminal states are stDone (delivered within
 // deadline), stLate (delivered after its deadline — already counted
@@ -192,18 +233,20 @@ type podState struct {
 
 // sim is one serving run in flight.
 type sim struct {
-	cfg     Config
-	pt      *priceTable
-	fc      *faults.Config // nil = fault-free (bit-identical legacy path)
-	inj     *faults.Injector
-	reqs    []request
-	pods    []podState
-	execs   []exec
-	batches []batchState
-	h       eventHeap
-	seq     int64
-	rr      int // round-robin cursor
-	pending int // requests not yet in a terminal state
+	cfg       Config
+	pt        *priceTable
+	fc        *faults.Config // nil = fault-free (bit-identical legacy path)
+	inj       *faults.Injector
+	reqs      []request
+	next      int // arrival cursor: reqs[next:] have not arrived yet
+	pods      []podState
+	execs     []exec
+	batches   []batchState
+	memberBuf []int // arena the batches' member lists are cut from
+	h         eventHeap
+	seq       int64
+	rr        int // round-robin cursor
+	pending   int // requests not yet in a terminal state
 
 	// SLO wiring (identity values when Config.Classes is empty).
 	classPrio   []int // [mix class] launch priority
@@ -214,7 +257,15 @@ type sim struct {
 	shed, timedOut, failed, late                     int
 }
 
-func newSim(cfg Config, pt *priceTable) *sim {
+// newSim builds the run's state. Arrivals are drawn from the source up
+// front into s.reqs, in source order, but never enter the event heap:
+// run merges a cursor over s.reqs with the heap top. Arrival i has the
+// implicit sequence number i and every pushed event a larger one
+// (s.seq starts at len(s.reqs)), so the merge — an arrival goes first
+// when its time is at most the heap top's — is the total (time, seq)
+// order the determinism contract promises, given that arrival times
+// never decrease. drawArrivals enforces that.
+func newSim(cfg Config, pt *priceTable) (*sim, error) {
 	pods := cfg.totalPods()
 	s := &sim{cfg: cfg, pt: pt, fc: cfg.Faults, pods: make([]podState, pods)}
 	for i := range s.pods {
@@ -258,10 +309,11 @@ func newSim(cfg Config, pt *priceTable) *sim {
 
 	// Arrivals from the configured source: the seeded Poisson process
 	// (the legacy stream, draw-for-draw identical), trace replay, or a
-	// caller-supplied source. All arrival events are pushed up front so
-	// their heap sequence numbers — and therefore same-instant
-	// tie-breaks — stay deterministic.
+	// caller-supplied source. The request table is pre-sized from the
+	// expected count: exact for a trace, the Poisson mean m plus five
+	// standard deviations for the default process.
 	src := cfg.Source
+	sizeHint := 0
 	if src == nil {
 		if len(cfg.TraceEvents) > 0 {
 			classOf := make(map[string]int, len(cfg.Mix))
@@ -269,21 +321,26 @@ func newSim(cfg Config, pt *priceTable) *sim {
 				classOf[e.Workload] = w
 			}
 			src = &traceSource{events: cfg.TraceEvents, classOf: classOf, horizon: cfg.HorizonS}
+			sizeHint = len(cfg.TraceEvents)
 		} else {
 			src = newPoissonSource(cfg.Seed, cfg.Rate, cfg.HorizonS, cfg.Mix)
+			if m := cfg.Rate * cfg.HorizonS; m > 0 {
+				sizeHint = int(math.Min(m+5*math.Sqrt(m)+16, float64(requestCap(cfg.Stats))))
+			}
 		}
 	}
-	for {
-		t, class, ok := src.Next()
-		if !ok {
-			break
-		}
-		s.reqs = append(s.reqs, request{class: class, arrival: t, deadline: t + deadlines[class]})
+	// prepare already bounds the built-in sources (the trace length, the
+	// Poisson expectation); only a custom source's count is capped here.
+	reqCap := math.MaxInt
+	if cfg.Source != nil {
+		reqCap = requestCap(cfg.Stats)
 	}
-	s.pending = len(s.reqs)
-	for i, r := range s.reqs {
-		s.push(event{at: r.arrival, kind: evArrival, req: i})
+	if err := s.drawArrivals(src, deadlines, sizeHint, reqCap); err != nil {
+		return nil, err
 	}
+	// A fault-free run's batch members fill exactly one request table's
+	// worth of arena; retries start further chunks (maybeLaunch).
+	s.memberBuf = make([]int, 0, len(s.reqs))
 
 	// Fault timelines: each pod's first crash and first straggler
 	// window, drawn from its own streams (no dependency on the request
@@ -301,13 +358,45 @@ func newSim(cfg Config, pt *priceTable) *sim {
 			}
 		}
 	}
-	return s
+	return s, nil
+}
+
+// drawArrivals fills s.reqs from src until it reports ok = false. It
+// fails with ErrArrivalOrder on a NaN or decreasing time (the arrival
+// cursor relies on the order), with ErrArrivalClass on a class index
+// outside the mix, and with ErrRequestCap once more than reqCap
+// arrivals are drawn (a source that never ends would otherwise loop
+// without bound). On success the sim's pending count and event
+// sequence start after the arrivals.
+func (s *sim) drawArrivals(src ArrivalSource, deadlines []float64, sizeHint, reqCap int) error {
+	s.reqs = make([]request, 0, sizeHint)
+	prev := math.Inf(-1)
+	for {
+		t, class, ok := src.Next()
+		if !ok {
+			break
+		}
+		if !(t >= prev) {
+			return fmt.Errorf("%w: arrival %d at %g after %g", ErrArrivalOrder, len(s.reqs), t, prev)
+		}
+		if class < 0 || class >= len(deadlines) {
+			return fmt.Errorf("%w: arrival %d has class %d, the mix has %d", ErrArrivalClass, len(s.reqs), class, len(deadlines))
+		}
+		if len(s.reqs) == reqCap {
+			return fmt.Errorf("%w: the source offered more than %d requests", ErrRequestCap, reqCap)
+		}
+		prev = t
+		s.reqs = append(s.reqs, request{class: class, arrival: t, deadline: t + deadlines[class]})
+	}
+	s.pending = len(s.reqs)
+	s.seq = int64(len(s.reqs))
+	return nil
 }
 
 func (s *sim) push(e event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.h, e)
+	s.h.push(e)
 }
 
 // noteEnqueued/noteDequeued keep the pod-level and fleet-wide
@@ -549,15 +638,20 @@ func (s *sim) maybeLaunch(pi int, now float64) {
 	if want > s.cfg.MaxBatch {
 		want = s.cfg.MaxBatch
 	}
-	members := make([]int, 0, want)
+	// Members are cut from the shared arena. When it has no room for a
+	// full batch a fresh chunk starts; earlier batches keep theirs.
+	if cap(s.memberBuf)-len(s.memberBuf) < want {
+		s.memberBuf = make([]int, 0, max(want, len(s.reqs)/8))
+	}
+	lo := len(s.memberBuf)
 	q := &p.queues[class]
-	for len(members) < want {
+	for len(s.memberBuf)-lo < want {
 		id := q.pop()
 		r := &s.reqs[id]
 		if r.state != stQueued {
 			continue // lazily-deleted entry (timed out while queued)
 		}
-		members = append(members, id)
+		s.memberBuf = append(s.memberBuf, id)
 		r.state = stInFlight
 		s.noteDequeued(p, class)
 		p.backlogS -= g.base[class]
@@ -566,6 +660,8 @@ func (s *sim) maybeLaunch(pi int, now float64) {
 		p.backlogS = 0 // kill float accumulation drift at the fixpoint
 	}
 	p.deadline = math.Inf(1)
+	hi := len(s.memberBuf)
+	members := s.memberBuf[lo:hi:hi]
 	b := len(members)
 
 	bi := len(s.batches)
@@ -743,24 +839,38 @@ func (s *sim) suspectPod(pi, gen int, now float64) {
 	}
 }
 
-// run drains the event heap. Fault-free, every offered request is
-// served to completion, so overload manifests as makespan, not loss;
-// under faults, requests resolve as completed, shed, timed out, or
-// failed, and the self-perpetuating fault timelines stop rescheduling
-// once no request remains pending (so the heap still drains).
+// arrive admits request id at its arrival time and arms its deadline.
+func (s *sim) arrive(id int) {
+	at := s.reqs[id].arrival
+	pi, ok := s.admit(id, at)
+	if !ok {
+		return
+	}
+	if d := s.reqs[id].deadline; !math.IsInf(d, 1) {
+		s.push(event{at: d, kind: evTimeout, req: id})
+	}
+	s.maybeLaunch(pi, at)
+}
+
+// run merges the arrival cursor with the event heap until both are
+// drained; an arrival goes first on a time tie (its implicit seq is
+// lower, see newSim). Fault-free, every offered request is served to
+// completion, so overload manifests as makespan, not loss; under
+// faults, requests resolve as completed, shed, timed out, or failed,
+// and the self-perpetuating fault timelines stop rescheduling once no
+// request remains pending (so the heap still drains).
 func (s *sim) run() {
-	for s.h.Len() > 0 {
-		e := heap.Pop(&s.h).(event)
+	for {
+		if s.next < len(s.reqs) && (len(s.h) == 0 || s.reqs[s.next].arrival <= s.h[0].at) {
+			s.next++
+			s.arrive(s.next - 1)
+			continue
+		}
+		if len(s.h) == 0 {
+			return
+		}
+		e := s.h.pop()
 		switch e.kind {
-		case evArrival:
-			pi, ok := s.admit(e.req, e.at)
-			if !ok {
-				break
-			}
-			if d := s.reqs[e.req].deadline; !math.IsInf(d, 1) {
-				s.push(event{at: d, kind: evTimeout, req: e.req})
-			}
-			s.maybeLaunch(pi, e.at)
 		case evDeadline:
 			s.pods[e.pod].deadline = math.Inf(1)
 			s.maybeLaunch(e.pod, e.at)
@@ -888,12 +998,26 @@ func (s *sim) result(capacityRate float64) *Result {
 		Requests:     len(s.reqs),
 	}
 
+	// Size every stored accumulator exactly: count the delivered
+	// requests per mix class first.
+	delivered := make([]int, len(s.cfg.Mix))
+	nDelivered, nDone := 0, 0
+	for i := range s.reqs {
+		switch s.reqs[i].state {
+		case stDone:
+			nDone++
+			fallthrough
+		case stLate:
+			delivered[s.reqs[i].class]++
+			nDelivered++
+		}
+	}
 	streaming := s.cfg.Stats == StatsStreaming
-	lats := newLatAccum(streaming, len(s.reqs))
-	good := newLatAccum(streaming, len(s.reqs))
+	lats := newLatAccum(streaming, nDelivered)
+	good := newLatAccum(streaming, nDone)
 	perClass := make([]latAccum, len(s.cfg.Mix))
 	for w := range perClass {
-		perClass[w] = newLatAccum(streaming, 0)
+		perClass[w] = newLatAccum(streaming, delivered[w])
 	}
 	type classAgg struct {
 		requests, completed, shed, timedOut, failed int
@@ -901,9 +1025,15 @@ func (s *sim) result(capacityRate float64) *Result {
 	}
 	var slo []classAgg
 	if len(s.cfg.Classes) > 0 {
+		sloDelivered := make([]int, len(s.cfg.Classes))
+		for w, si := range s.mixSLO {
+			if si >= 0 {
+				sloDelivered[si] += delivered[w]
+			}
+		}
 		slo = make([]classAgg, len(s.cfg.Classes))
 		for i := range slo {
-			slo[i].lat = newLatAccum(streaming, 0)
+			slo[i].lat = newLatAccum(streaming, sloDelivered[i])
 		}
 	}
 

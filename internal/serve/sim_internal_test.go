@@ -1,63 +1,207 @@
 package serve
 
 import (
-	"container/heap"
+	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// FuzzEventHeapOrder: whatever order events are pushed in, the heap
-// pops them in the total (time, seq) order the determinism contract
-// depends on — ties on time always break by sequence number.
+// FuzzEventHeapOrder: the typed heap pops, at every step of an
+// interleaved push/pop sequence, the earliest pending event in the
+// total (time, seq) order the determinism contract depends on. The
+// oracle is independent of the heap: a stable sort of the pending set.
+// Coarse times force same-time collisions so the seq tiebreak is hit,
+// and seqs are unique but not monotone in push order.
 func FuzzEventHeapOrder(f *testing.F) {
-	f.Add([]byte{0}, uint8(3))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0))
-	f.Add([]byte{255, 0, 255, 0, 255, 0, 255, 0}, uint8(7))
-	f.Fuzz(func(t *testing.T, raw []byte, rot uint8) {
-		if len(raw) == 0 || len(raw) > 512 {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{255, 0, 255, 0, 255, 0, 255, 0})
+	f.Add([]byte{6, 1, 6, 2, 6, 3, 7, 9, 7, 9, 7, 9, 6, 4, 7, 9})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 512 {
 			t.Skip()
 		}
-		// Decode events from the fuzz bytes: coarse times force
-		// same-time collisions so the seq tiebreak is actually hit.
-		var evs []event
+		order := func(a, b event) int {
+			switch {
+			case a.at < b.at:
+				return -1
+			case a.at > b.at:
+				return 1
+			case a.seq < b.seq:
+				return -1
+			case a.seq > b.seq:
+				return 1
+			}
+			return 0
+		}
+		var h eventHeap
+		var pending []event
+		check := func(step int) {
+			got := h.pop()
+			slices.SortStableFunc(pending, order)
+			want := pending[0]
+			pending = pending[1:]
+			if got != want {
+				t.Fatalf("step %d: popped (%g, %d), want (%g, %d)", step, got.at, got.seq, want.at, want.seq)
+			}
+		}
 		for i := 0; i+1 < len(raw); i += 2 {
-			evs = append(evs, event{
-				at:   float64(raw[i]%16) * 0.25,
-				seq:  int64(raw[i+1]),
-				kind: int(raw[i] % 11),
-			})
-		}
-		if len(evs) == 0 {
-			t.Skip()
-		}
-
-		pop := func(h eventHeap) []event {
-			heap.Init(&h)
-			out := make([]event, 0, h.Len())
-			for h.Len() > 0 {
-				out = append(out, heap.Pop(&h).(event))
+			// Low bit of the first byte: pop (when anything is pending)
+			// or push an event decoded from the pair.
+			if raw[i]&1 == 1 && len(pending) > 0 {
+				check(i / 2)
+				continue
 			}
-			return out
+			e := event{
+				at:   float64(raw[i]>>1%16) * 0.25,
+				seq:  int64(raw[i+1])<<16 | int64(i/2),
+				kind: int(raw[i] % 10),
+				aux:  i,
+			}
+			h.push(e)
+			pending = append(pending, e)
 		}
-		a := pop(append(eventHeap(nil), evs...))
-		// A rotated push order must pop identically.
-		r := int(rot) % len(evs)
-		b := pop(append(append(eventHeap(nil), evs[r:]...), evs[:r]...))
+		for n := 0; len(pending) > 0; n++ {
+			check(len(raw) + n)
+		}
+		if len(h) != 0 {
+			t.Fatalf("heap holds %d events after the oracle drained", len(h))
+		}
+	})
+}
 
-		for i := 1; i < len(a); i++ {
-			if a[i].at < a[i-1].at || (a[i].at == a[i-1].at && a[i].seq < a[i-1].seq) {
-				t.Fatalf("pop %d out of order: (%g, %d) after (%g, %d)",
-					i, a[i].at, a[i].seq, a[i-1].at, a[i-1].seq)
+// FuzzSortLatencies: sortLatencies matches sort.Float64s bit for bit,
+// on the radix path (every sample non-negative, not NaN) and on the
+// fallback (a negative, −0 or NaN sample), at lengths from 0 to 3071.
+// Samples mix 0, subnormals, +Inf, duplicates and wide-exponent
+// normals; coarse clears the low mantissa bytes so that low radix
+// digits are constant while higher ones vary.
+func FuzzSortLatencies(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint8(0), false)
+	f.Add(uint64(2), uint16(1), uint8(0), false)
+	f.Add(uint64(3), uint16(2), uint8(1), false)
+	f.Add(uint64(4), uint16(17), uint8(2), false)
+	f.Add(uint64(5), uint16(1000), uint8(3), false)
+	f.Add(uint64(6), uint16(3000), uint8(4), false)
+	f.Add(uint64(7), uint16(3), uint8(0), true)
+	f.Add(uint64(8), uint16(900), uint8(0), true)
+	f.Add(uint64(9), uint16(64), uint8(0), false)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, poison uint8, coarse bool) {
+		n %= 3072
+		g := newSplitmix(seed)
+		v := make([]float64, n)
+		for i := range v {
+			switch r := g.next(); r % 8 {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = math.Float64frombits(r >> 12) // subnormal (or 0)
+			case 2:
+				v[i] = math.Inf(1)
+			case 3:
+				if i > 0 {
+					v[i] = v[g.next()%uint64(i)] // duplicate
+				}
+			case 4:
+				v[i] = math.SmallestNonzeroFloat64
+			default:
+				// Exponent below 0x7ff keeps it finite and positive.
+				v[i] = math.Float64frombits(r % (0x7ff << 52))
+			}
+			if coarse && !math.IsInf(v[i], 1) {
+				v[i] = math.Float64frombits(math.Float64bits(v[i]) &^ 0xffff)
 			}
 		}
-		for i := range a {
-			if a[i].at != b[i].at || a[i].seq != b[i].seq {
-				t.Fatalf("pop order depends on push order at %d: (%g, %d) vs (%g, %d)",
-					i, a[i].at, a[i].seq, b[i].at, b[i].seq)
+		// A poisoned sample forces the fallback.
+		if n > 0 && poison%5 != 0 {
+			at := g.next() % uint64(n)
+			switch poison % 5 {
+			case 1:
+				v[at] = -1
+			case 2:
+				v[at] = math.Copysign(0, -1)
+			case 3:
+				v[at] = math.NaN()
+			case 4:
+				v[at] = math.Inf(-1)
+			}
+		}
+		want := append([]float64(nil), v...)
+		sort.Float64s(want)
+		sortLatencies(v)
+		for i := range v {
+			if math.Float64bits(v[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d poison=%d: index %d is %v (%#x), sort.Float64s gives %v (%#x)",
+					n, poison%5, i, v[i], math.Float64bits(v[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	})
+}
+
+// sliceSource is a fixed arrival stream for white-box tests; endless
+// makes it repeat its last arrival forever.
+type sliceSource struct {
+	times   []float64
+	classes []int
+	endless bool
+	i       int
+}
+
+func (s *sliceSource) Next() (float64, int, bool) {
+	if s.i >= len(s.times) {
+		if !s.endless || len(s.times) == 0 {
+			return 0, 0, false
+		}
+		return s.times[len(s.times)-1], s.classes[len(s.times)-1], true
+	}
+	s.i++
+	return s.times[s.i-1], s.classes[s.i-1], true
+}
+
+// TestArrivalSourceChecked: drawing arrivals rejects a NaN or
+// decreasing time with ErrArrivalOrder, a class outside the mix with
+// ErrArrivalClass and a source that outruns the request cap with
+// ErrRequestCap; ties and an exactly-full cap pass.
+func TestArrivalSourceChecked(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name    string
+		times   []float64
+		classes []int // nil: class 0 throughout
+		endless bool
+		reqCap  int
+		want    error
+	}{
+		{"nondecreasing with ties", []float64{0, 0.5, 0.5, 1}, nil, false, 10, nil},
+		{"exactly at the cap", []float64{1, 2, 3}, nil, false, 3, nil},
+		{"empty", nil, nil, false, 10, nil},
+		{"every class of the mix", []float64{1, 2}, []int{1, 0}, false, 10, nil},
+		{"decreasing", []float64{0.1, 0.3, 0.2}, nil, false, 10, ErrArrivalOrder},
+		{"NaN first", []float64{nan, 1}, nil, false, 10, ErrArrivalOrder},
+		{"NaN later", []float64{0.1, nan}, nil, false, 10, ErrArrivalOrder},
+		{"class past the mix", []float64{1, 2}, []int{0, 2}, false, 10, ErrArrivalClass},
+		{"negative class", []float64{1}, []int{-1}, false, 10, ErrArrivalClass},
+		{"one over the cap", []float64{1, 2, 3, 4}, nil, false, 3, ErrRequestCap},
+		{"never ends", []float64{0.25}, nil, true, 100, ErrRequestCap},
+	} {
+		classes := tc.classes
+		if classes == nil {
+			classes = make([]int, len(tc.times))
+		}
+		src := &sliceSource{times: tc.times, classes: classes, endless: tc.endless}
+		s := &sim{}
+		err := s.drawArrivals(src, []float64{math.Inf(1), math.Inf(1)}, 0, tc.reqCap)
+		if !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if err == nil && (len(s.reqs) != len(tc.times) || s.pending != len(tc.times) || s.seq != int64(len(tc.times))) {
+			t.Errorf("%s: %d requests, pending %d, seq %d; want %d each",
+				tc.name, len(s.reqs), s.pending, s.seq, len(tc.times))
+		}
+	}
 }
 
 // TestLatencyStatsQuantiles pins the nearest-rank definition

@@ -150,8 +150,55 @@ func newStoredAccum(capHint int) *storedAccum {
 func (a *storedAccum) add(v float64) { a.vals = append(a.vals, v) }
 func (a *storedAccum) count() int    { return len(a.vals) }
 func (a *storedAccum) stats() LatencyStats {
-	sort.Float64s(a.vals)
+	sortLatencies(a.vals)
 	return latencyStats(a.vals)
+}
+
+// sortLatencies sorts v ascending. When every sample has its sign bit
+// clear and none is NaN — latencies are finish − arrival ≥ 0 — it runs
+// an LSD radix sort on the float64 bit patterns: such floats order
+// exactly like their bits, and two of them are equal only when their
+// bits are, so the result is the one sorted sequence sort.Float64s also
+// produces, and every quantile and the sorted-order mean are
+// bit-identical. Otherwise (a negative, −0 or NaN sample) it falls back
+// to sort.Float64s.
+func sortLatencies(v []float64) {
+	if len(v) < 2 {
+		return
+	}
+	// One pass counts all eight byte digits at once.
+	var counts [8][256]int
+	for _, x := range v {
+		b := math.Float64bits(x)
+		if b>>63 != 0 || x != x {
+			sort.Float64s(v)
+			return
+		}
+		for d := range counts {
+			counts[d][byte(b>>(8*d))]++
+		}
+	}
+	src, dst := v, make([]float64, len(v))
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(math.Float64bits(src[0])>>(8*d))] == len(v) {
+			continue // every key shares this digit: the pass is a copy
+		}
+		sum := 0
+		for i, n := range c {
+			c[i] = sum
+			sum += n
+		}
+		for _, x := range src {
+			k := byte(math.Float64bits(x) >> (8 * d))
+			dst[c[k]] = x
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &v[0] {
+		copy(v, src)
+	}
 }
 
 // streamAccum is the O(1)-memory path: exact up to streamExactCutoff
