@@ -35,11 +35,11 @@
 //     deterministic records; SweepDiff classifies regressions against
 //     a committed baseline — the CI perf gate (crossbench sweep
 //     -compare).
-//   - Host perf layer: HostBench measures the functional CPU kernels'
-//     real ns/op and steady-state allocs/op at fixed sizes;
-//     HostBenchDiff gates wall time against a generous threshold and
-//     allocations strictly at zero drift (crossbench hostbench,
-//     BENCH_host.json).
+//   - Host perf layer: HostBenchRunFile measures the functional CPU
+//     kernels' real ns/op and steady-state allocs/op at fixed sizes;
+//     HostBenchDiffFiles gates wall time against a generous threshold
+//     and allocations strictly at zero drift (crossbench hostbench,
+//     BENCH_host.json). All three gates return one GateResult.
 //   - Serving layer: Serve runs the discrete-event serving simulator —
 //     an open-loop arrival process over a workload mix, dynamic
 //     batching, and fleet dispatch across M pods — and returns one
@@ -71,10 +71,10 @@ import (
 	"cross/internal/ckks"
 	icross "cross/internal/cross"
 	"cross/internal/faults"
+	"cross/internal/gate"
 	"cross/internal/gpusim"
 	"cross/internal/harness"
 	"cross/internal/hostbench"
-	"cross/internal/mat"
 	"cross/internal/modarith"
 	"cross/internal/ring"
 	"cross/internal/serve"
@@ -392,9 +392,6 @@ type ScalarPlan = bat.ScalarPlan
 // left operand.
 type MatMulPlan = bat.MatMulPlan
 
-// Permutation is MAT's reordering representation.
-type Permutation = mat.Permutation
-
 // Modulus is a prime modulus with precomputed reduction constants.
 type Modulus = modarith.Modulus
 
@@ -465,6 +462,16 @@ func ExperimentIDs() []string { return harness.IDs() }
 
 // ---- Sweep / perf-gating layer ----
 
+// GateResult is the classified old-vs-new comparison every baseline
+// gate returns (SweepDiff, HostBenchDiffFiles, CalibDiff): regressions,
+// improvements, warnings and coverage drift per (record ID, metric).
+// Its HasRegressions is the gate condition.
+type GateResult = gate.Result
+
+// ErrDuplicateID is wrapped by the error a gate diff returns when its
+// baseline or its new run repeats a record ID.
+var ErrDuplicateID = gate.ErrDuplicateID
+
 // SweepConfig selects the sweep axes (parameter sets, TPU specs, pod
 // core counts, workloads) and the worker-pool width; the zero value is
 // the full cross-product at NumCPU workers.
@@ -475,10 +482,6 @@ type SweepConfig = sweep.Config
 // counts. Its JSON encoding is the stable schema BENCH_baseline.json
 // and the CI perf gate diff on.
 type SweepRecord = sweep.Record
-
-// SweepDiffResult is the classified old-vs-new comparison of two
-// sweeps (regressions, improvements, coverage drift).
-type SweepDiffResult = sweep.DiffResult
 
 // Sweep lowers the configured cross-product concurrently and returns
 // deterministic, stably-ordered records — bit-identical at every
@@ -491,7 +494,7 @@ func Sweep(cfg SweepConfig) ([]SweepRecord, error) { return sweep.Run(cfg) }
 // the column — against the fractional threshold (0.005 = 0.5%, the CI
 // gate's default). The result's HasRegressions is the gate condition
 // crossbench sweep -compare exits non-zero on.
-func SweepDiff(old, new []SweepRecord, threshold float64) SweepDiffResult {
+func SweepDiff(old, new []SweepRecord, threshold float64) (GateResult, error) {
 	return sweep.Diff(old, new, threshold)
 }
 
@@ -502,24 +505,6 @@ func SweepDiff(old, new []SweepRecord, threshold float64) SweepDiffResult {
 // stable schema BENCH_host.json and the hostbench CI gate diff on.
 type HostBenchRecord = hostbench.Record
 
-// HostBenchDiffResult is the classified old-vs-new comparison of two
-// host benchmark runs.
-type HostBenchDiffResult = hostbench.DiffResult
-
-// HostBench measures the host-side functional kernels (NTT/INTT,
-// VecMod, automorphism, matrix NTT, BAT MatMul, BConv) at fixed sizes
-// and returns stably-ordered records. Unlike Sweep, these are real
-// wall-clock numbers for THIS machine: diff them only against a
-// baseline recorded on comparable hardware.
-func HostBench() ([]HostBenchRecord, error) { return hostbench.Run() }
-
-// HostBenchDiff compares two host benchmark runs. Wall time is
-// classified against the fractional threshold (generous — CI runners
-// are noisy); allocs/op is gated strictly at zero drift.
-func HostBenchDiff(old, new []HostBenchRecord, threshold float64) HostBenchDiffResult {
-	return hostbench.Diff(old, new, threshold)
-}
-
 // HostBenchEnvironment captures the machine a host run was measured on
 // (CPU model, GOMAXPROCS, Go version, …); mismatches against a
 // baseline surface as diff warnings.
@@ -529,13 +514,19 @@ type HostBenchEnvironment = hostbench.Environment
 // environment plus the records.
 type HostBenchFile = hostbench.File
 
-// HostBenchRunFile measures the host kernels and stamps the current
-// environment — the content written to BENCH_host.json.
+// HostBenchRunFile measures the host-side functional kernels (NTT/INTT,
+// VecMod, automorphism, matrix NTT, BAT MatMul, BConv) at a fixed size
+// and stamps the current environment — the content written to
+// BENCH_host.json. Unlike Sweep, these are real wall-clock numbers for
+// THIS machine: diff them only against a baseline recorded on
+// comparable hardware.
 func HostBenchRunFile() (HostBenchFile, error) { return hostbench.RunFile() }
 
-// HostBenchDiffFiles compares two host benchmark files: records as
-// HostBenchDiff, plus environment-mismatch warnings.
-func HostBenchDiffFiles(old, new HostBenchFile, threshold float64) HostBenchDiffResult {
+// HostBenchDiffFiles compares two host benchmark files. Wall time is
+// classified against the fractional threshold (generous — CI runners
+// are noisy); allocs/op is gated strictly at zero drift; environment
+// mismatches are warnings.
+func HostBenchDiffFiles(old, new HostBenchFile, threshold float64) (GateResult, error) {
 	return hostbench.DiffFiles(old, new, threshold)
 }
 
@@ -558,10 +549,6 @@ type CalibSpecFit = calib.SpecFit
 // calibration record, every spec's fit, and the measuring environment.
 type CalibReport = calib.Report
 
-// CalibDiffResult is the classified comparison of two calibration
-// reports — the calib-gate's verdict.
-type CalibDiffResult = calib.DiffResult
-
 // Calib measures ground truth (host kernels timed here; published
 // TPU/GPU figures from the paper), prices the same work through the
 // roofline model, and least-squares fits each spec's free constants.
@@ -573,7 +560,7 @@ func Calib(cfg CalibConfig) (*CalibReport, error) { return calib.Run(cfg) }
 // drift threshold. Its HasRegressions is the calib-gate condition:
 // published-record model-error growth or published-spec constant
 // drift fails; host drift and environment mismatches only warn.
-func CalibDiff(old, new *CalibReport, threshold float64) CalibDiffResult {
+func CalibDiff(old, new *CalibReport, threshold float64) (GateResult, error) {
 	return calib.Diff(old, new, threshold)
 }
 

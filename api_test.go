@@ -294,12 +294,18 @@ func TestSweepFacade(t *testing.T) {
 	bumped := append([]SweepRecord(nil), recs...)
 	bumped[0].TotalS *= 1.01
 	bumped[1].TotalS *= 0.99
-	d := SweepDiff(recs, bumped, 0.005)
+	d, err := SweepDiff(recs, bumped, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !d.HasRegressions() || len(d.Regressions) != 1 || d.Regressions[0].ID != recs[0].ID {
 		t.Errorf("+1%% not gated: %+v", d.Regressions)
 	}
 	if len(d.Improvements) != 1 || d.Improvements[0].ID != recs[1].ID {
 		t.Errorf("−1%% not reported as improvement: %+v", d.Improvements)
+	}
+	if _, err := SweepDiff(recs, append(bumped, bumped[0]), 0.005); !errors.Is(err, ErrDuplicateID) {
+		t.Errorf("repeated new record ID: err = %v, want ErrDuplicateID", err)
 	}
 }
 
@@ -517,18 +523,21 @@ func TestCalibFacade(t *testing.T) {
 	}
 	old, cur := mk(), mk()
 	cur.Records[0].RelErrFitted = 0.40
-	if d := CalibDiff(old, cur, 0.10); !d.HasRegressions() {
-		t.Error("injected model drift not gated")
+	if d, err := CalibDiff(old, cur, 0.10); err != nil || !d.HasRegressions() {
+		t.Errorf("injected model drift not gated (err %v)", err)
 	}
-	if d := CalibDiff(old, mk(), 0.10); d.HasRegressions() {
-		t.Error("self-diff not clean")
+	if d, err := CalibDiff(old, mk(), 0.10); err != nil || d.HasRegressions() {
+		t.Errorf("self-diff not clean (err %v)", err)
 	}
 
 	// Host-file diffing surfaces environment mismatches as warnings.
 	recs := []HostBenchRecord{{ID: "ntt_inplace/N8192", NsPerOp: 100}}
 	a := HostBenchFile{Env: HostBenchEnvironment{GoVersion: "go1.23.0"}, Records: recs}
 	b := HostBenchFile{Env: HostBenchEnvironment{GoVersion: "go1.24.0"}, Records: recs}
-	d := HostBenchDiffFiles(a, b, 0.25)
+	d, err := HostBenchDiffFiles(a, b, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.HasRegressions() {
 		t.Error("env mismatch must not gate")
 	}

@@ -217,11 +217,12 @@ func (o *output) emit(w io.Writer, v any, text string) error {
 	return o.print(w, v, text)
 }
 
-// gate prints a baseline diff and fails when it holds a regression.
-func (o *output) gate(w io.Writer, diff interface {
-	Summary() string
-	HasRegressions() bool
-}) error {
+// gate prints the diff against the baseline file and fails when the
+// diff could not be made or holds a regression.
+func (o *output) gate(w io.Writer, baseline string, diff cross.GateResult, err error) error {
+	if err != nil {
+		return fmt.Errorf("compare against %s: %w", baseline, err)
+	}
 	if err := o.print(w, diff, diff.Summary()); err != nil {
 		return err
 	}
@@ -259,25 +260,6 @@ func readJSON(path string, v any) error {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
 	return nil
-}
-
-// readHostBaseline loads a committed host benchmark (BENCH_host.json).
-// Both schemas parse: the current File form ({"env": …, "records": …})
-// and the legacy bare record array, which diffs with no environment
-// metadata (every env check skips).
-func readHostBaseline(path string) (cross.HostBenchFile, error) {
-	var file cross.HostBenchFile
-	if err := readJSON(path, &file); err == nil && len(file.Records) > 0 {
-		return file, nil
-	}
-	var recs []cross.HostBenchRecord
-	if err := readJSON(path, &recs); err != nil {
-		return cross.HostBenchFile{}, err
-	}
-	if len(recs) == 0 {
-		return cross.HostBenchFile{}, fmt.Errorf("%s holds no host benchmark records", path)
-	}
-	return cross.HostBenchFile{Records: recs}, nil
 }
 
 // fitWorkers maps the -parallel convention (0 = NumCPU) onto the
@@ -373,7 +355,8 @@ func sweepCmd(fs *flag.FlagSet) action {
 			if err := o.save(recs); err != nil {
 				return err
 			}
-			return o.gate(w, cross.SweepDiff(baseline, recs, *threshold))
+			diff, err := cross.SweepDiff(baseline, recs, *threshold)
+			return o.gate(w, *compare, diff, err)
 		}
 		var b strings.Builder
 		for _, r := range recs {
@@ -391,9 +374,11 @@ func hostbenchCmd(fs *flag.FlagSet) action {
 	return func(_ []string, w io.Writer) error {
 		var baseline cross.HostBenchFile
 		if *compare != "" {
-			var err error
-			if baseline, err = readHostBaseline(*compare); err != nil {
+			if err := readJSON(*compare, &baseline); err != nil {
 				return err
+			}
+			if len(baseline.Records) == 0 {
+				return fmt.Errorf("%s holds no host benchmark records", *compare)
 			}
 		}
 		file, err := cross.HostBenchRunFile()
@@ -404,7 +389,8 @@ func hostbenchCmd(fs *flag.FlagSet) action {
 			if err := o.save(file); err != nil {
 				return err
 			}
-			return o.gate(w, cross.HostBenchDiffFiles(baseline, file, *threshold))
+			diff, err := cross.HostBenchDiffFiles(baseline, file, *threshold)
+			return o.gate(w, *compare, diff, err)
 		}
 		var b strings.Builder
 		for _, r := range file.Records {
@@ -438,7 +424,8 @@ func calibCmd(fs *flag.FlagSet) action {
 			if err := o.save(rep); err != nil {
 				return err
 			}
-			return o.gate(w, cross.CalibDiff(&baseline, rep, *threshold))
+			diff, err := cross.CalibDiff(&baseline, rep, *threshold)
+			return o.gate(w, *compare, diff, err)
 		}
 		return o.emit(w, rep, rep.Summary())
 	}

@@ -93,3 +93,27 @@ func TestRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareRejectsBadBaseline: a BENCH_host.json with no records, in
+// the retired bare-array form, or repeating a record ID fails the gate
+// with a named error instead of comparing.
+func TestCompareRejectsBadBaseline(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"id": "ntt_inplace/N8192", "ns_per_op": 1000, "allocs_per_op": 0}`
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"empty.json", `{"env": {}, "records": []}`, "holds no host benchmark records"},
+		{"bare.json", "[" + rec + "]", "cannot unmarshal array"},
+		{"dup.json", `{"records": [` + rec + `, ` + rec + `]}`, `duplicate record ID "ntt_inplace/N8192" in the baseline records`},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runArgs("hostbench", "-compare", path)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 naming %q", tc.name, code, stdout, stderr, tc.want)
+		}
+	}
+}

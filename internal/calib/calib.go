@@ -58,7 +58,7 @@ func (c Config) withDefaults() Config {
 		c.Sizes = []int{4096, 8192, 16384}
 	}
 	if c.Repeats < 1 {
-		c.Repeats = 5
+		c.Repeats = hostbench.DefaultRepeats
 	}
 	if c.Parallel < 1 {
 		c.Parallel = 1

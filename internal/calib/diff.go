@@ -1,193 +1,61 @@
 package calib
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
-	"cross/internal/tpusim"
+	"cross/internal/gate"
 )
 
-// Delta is one record's baseline-vs-current model-error comparison.
-type Delta struct {
-	ID     string `json:"id"`
-	Source string `json:"source"`
-	// OldAbsErr / NewAbsErr are |RelErrFitted| in the two reports;
-	// Drift is New − Old (positive = model got worse against ground
-	// truth).
-	OldAbsErr float64 `json:"old_abs_err"`
-	NewAbsErr float64 `json:"new_abs_err"`
-	Drift     float64 `json:"drift"`
-	Class     string  `json:"class"`
+// metricAbsErr is the gated |RelErrFitted| of every record.
+const metricAbsErr = "abs_rel_err_fitted"
+
+// Diff compares two calibration reports through the gate. Records match
+// on ID and classify by the absolute drift of |RelErrFitted| against
+// the threshold. Each spec's fitted constants become a "fit/<spec>"
+// record whose constants classify by relative change in either
+// direction (a constant has no better direction), with the gate's
+// zero-baseline rule. Published sources are deterministic, so their
+// regressions fail the gate; host records and the host spec's
+// constants are measured on whatever machine runs the gate, so theirs
+// are warnings. Environment mismatches are warnings too.
+func Diff(old, new *Report, threshold float64) (gate.Result, error) {
+	constant := gate.Policy{Kind: gate.Relative, Threshold: threshold, TwoSided: true}
+	metrics := []gate.Metric{
+		{Name: metricAbsErr, Policy: gate.Policy{Kind: gate.Absolute, Threshold: threshold}},
+		{Name: "launch_overhead_s", Unit: "s", Policy: constant},
+		{Name: "hbm_fraction", Policy: constant},
+		{Name: "vmem_fraction", Policy: constant},
+		{Name: "ntt_efficiency", Policy: constant},
+	}
+	res, err := gate.Diff("calib", metrics, gateRecords(old), gateRecords(new))
+	if err != nil {
+		return gate.Result{}, err
+	}
+	res.EnvWarnings = old.Env.Mismatches(new.Env)
+	return res, nil
 }
 
-// Delta classes (shared vocabulary with sweep/hostbench diffs).
-const (
-	ClassRegression  = "regression"
-	ClassImprovement = "improvement"
-	ClassUnchanged   = "unchanged"
-)
-
-// DiffResult is the classified comparison of two calibration reports —
-// the calib-gate's verdict.
-type DiffResult struct {
-	Threshold float64 `json:"threshold"`
-	// Regressions hold published-source records whose fitted model
-	// error grew beyond the threshold — deterministic, so any entry is
-	// a real model change, and the gate fails.
-	Regressions  []Delta `json:"regressions"`
-	Improvements []Delta `json:"improvements"`
-	Unchanged    int     `json:"unchanged"`
-
-	OnlyInOld []string `json:"only_in_old,omitempty"`
-	OnlyInNew []string `json:"only_in_new,omitempty"`
-
-	// ConstantDrift holds published-spec fitted constants that moved
-	// relative to the baseline — also deterministic, also fails the
-	// gate (the model changed even if the error happens to stay flat).
-	ConstantDrift []string `json:"constant_drift,omitempty"`
-
-	// Warnings collect everything measured on real (variable) hardware:
-	// host-record error drift, host-spec constant drift, and
-	// environment mismatches. Never a failure — CI runners differ.
-	Warnings []string `json:"warnings,omitempty"`
-}
-
-// HasRegressions reports whether the gate should fail: a deterministic
-// model-error regression or a fitted-constant drift on a published
-// spec.
-func (d DiffResult) HasRegressions() bool {
-	return len(d.Regressions) > 0 || len(d.ConstantDrift) > 0
-}
-
-// Summary renders the human-readable gate report.
-func (d DiffResult) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "calib diff @ |rel err| drift threshold %.2f: %d regression(s), %d constant drift(s), %d improvement(s), %d unchanged\n",
-		d.Threshold, len(d.Regressions), len(d.ConstantDrift), len(d.Improvements), d.Unchanged)
-	for _, r := range d.Regressions {
-		fmt.Fprintf(&b, "  REGRESSION  %-40s model error %.1f%% → %.1f%%\n", r.ID, r.OldAbsErr*100, r.NewAbsErr*100)
+func gateRecords(r *Report) []gate.Record {
+	out := make([]gate.Record, 0, len(r.Records)+len(r.Fits))
+	for _, rec := range r.Records {
+		out = append(out, gate.Record{
+			ID:       rec.ID,
+			Values:   map[string]float64{metricAbsErr: math.Abs(rec.RelErrFitted)},
+			WarnOnly: rec.Source == SourceHost,
+		})
 	}
-	for _, c := range d.ConstantDrift {
-		fmt.Fprintf(&b, "  CONSTANT DRIFT  %s\n", c)
+	for _, f := range r.Fits {
+		c := f.Fitted
+		out = append(out, gate.Record{
+			ID: "fit/" + f.Spec,
+			Values: map[string]float64{
+				"launch_overhead_s": c.LaunchOverhead,
+				"hbm_fraction":      c.HBMFraction,
+				"vmem_fraction":     c.VMEMFraction,
+				"ntt_efficiency":    c.NTTEfficiency,
+			},
+			WarnOnly: f.Source == SourceHost,
+		})
 	}
-	for _, r := range d.Improvements {
-		fmt.Fprintf(&b, "  improvement %-40s model error %.1f%% → %.1f%%\n", r.ID, r.OldAbsErr*100, r.NewAbsErr*100)
-	}
-	if len(d.OnlyInOld) > 0 {
-		fmt.Fprintf(&b, "  only in baseline: %v\n", d.OnlyInOld)
-	}
-	if len(d.OnlyInNew) > 0 {
-		fmt.Fprintf(&b, "  only in new run: %v\n", d.OnlyInNew)
-	}
-	for _, w := range d.Warnings {
-		fmt.Fprintf(&b, "  WARNING %s\n", w)
-	}
-	return b.String()
-}
-
-// Diff compares two calibration reports. Records match on ID; each
-// matched pair classifies by the absolute drift of its fitted model
-// error (|RelErrFitted|): growth beyond the threshold is a regression
-// for published-source records and a warning for host-source ones
-// (host ground truth moves with the CI machine — hard-failing on it
-// would gate on hardware, not on the model). Fitted constants of
-// published specs are compared field-by-field at the same relative
-// threshold, and environment mismatches surface as warnings via
-// hostbench.Environment.
-func Diff(old, new *Report, threshold float64) DiffResult {
-	if threshold < 0 {
-		threshold = 0
-	}
-	d := DiffResult{Threshold: threshold}
-
-	oldByID := make(map[string]Record, len(old.Records))
-	for _, r := range old.Records {
-		oldByID[r.ID] = r
-	}
-	seen := make(map[string]bool, len(new.Records))
-	for _, r := range new.Records {
-		seen[r.ID] = true
-		o, ok := oldByID[r.ID]
-		if !ok {
-			d.OnlyInNew = append(d.OnlyInNew, r.ID)
-			continue
-		}
-		delta := Delta{
-			ID: r.ID, Source: r.Source,
-			OldAbsErr: math.Abs(o.RelErrFitted),
-			NewAbsErr: math.Abs(r.RelErrFitted),
-		}
-		delta.Drift = delta.NewAbsErr - delta.OldAbsErr
-		switch {
-		case delta.Drift > threshold:
-			delta.Class = ClassRegression
-		case delta.Drift < -threshold:
-			delta.Class = ClassImprovement
-		default:
-			delta.Class = ClassUnchanged
-		}
-		switch {
-		case delta.Class == ClassRegression && r.Source == SourceHost:
-			d.Warnings = append(d.Warnings, fmt.Sprintf(
-				"host record %s: model error %.1f%% → %.1f%% (measured hardware varies; not gated)",
-				r.ID, delta.OldAbsErr*100, delta.NewAbsErr*100))
-			d.Unchanged++
-		case delta.Class == ClassRegression:
-			d.Regressions = append(d.Regressions, delta)
-		case delta.Class == ClassImprovement:
-			d.Improvements = append(d.Improvements, delta)
-		default:
-			d.Unchanged++
-		}
-	}
-	for _, r := range old.Records {
-		if !seen[r.ID] {
-			d.OnlyInOld = append(d.OnlyInOld, r.ID)
-		}
-	}
-
-	// Fitted constants: deterministic for published specs → gate;
-	// host spec → warn.
-	oldFits := make(map[string]SpecFit, len(old.Fits))
-	for _, f := range old.Fits {
-		oldFits[f.Spec] = f
-	}
-	for _, f := range new.Fits {
-		of, ok := oldFits[f.Spec]
-		if !ok {
-			continue
-		}
-		drift := constantDrift(of.Fitted, f.Fitted, threshold)
-		if len(drift) == 0 {
-			continue
-		}
-		msg := fmt.Sprintf("%s: %s", f.Spec, strings.Join(drift, ", "))
-		if f.Source == SourceHost {
-			d.Warnings = append(d.Warnings, "host constants drifted — "+msg)
-		} else {
-			d.ConstantDrift = append(d.ConstantDrift, msg)
-		}
-	}
-
-	for _, w := range old.Env.Mismatches(new.Env) {
-		d.Warnings = append(d.Warnings, "environment mismatch — "+w)
-	}
-	return d
-}
-
-// constantDrift describes each calibration field whose relative change
-// exceeds the threshold.
-func constantDrift(old, new tpusim.Calibration, threshold float64) []string {
-	var out []string
-	check := func(name string, o, n float64) {
-		if o > 0 && math.Abs(n/o-1) > threshold {
-			out = append(out, fmt.Sprintf("%s %.3g → %.3g", name, o, n))
-		}
-	}
-	check("launch_overhead_s", old.LaunchOverhead, new.LaunchOverhead)
-	check("hbm_fraction", old.HBMFraction, new.HBMFraction)
-	check("vmem_fraction", old.VMEMFraction, new.VMEMFraction)
-	check("ntt_efficiency", old.NTTEfficiency, new.NTTEfficiency)
 	return out
 }

@@ -4,9 +4,20 @@ import (
 	"strings"
 	"testing"
 
+	"cross/internal/gate"
 	"cross/internal/hostbench"
 	"cross/internal/tpusim"
 )
+
+// diff is Diff for reports without duplicate IDs.
+func diff(t *testing.T, old, new *Report, threshold float64) gate.Result {
+	t.Helper()
+	d, err := Diff(old, new, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 func calibRec(id, source string, relFit float64) Record {
 	return Record{
@@ -40,7 +51,7 @@ func TestDiffGatesInjectedModelDrift(t *testing.T) {
 	cur := baseReport()
 	// Inject drift: the TPUv4 NTT model error grows 5% → 30%.
 	cur.Records[0].RelErrFitted = 0.30
-	d := Diff(old, cur, 0.10)
+	d := diff(t, old, cur, 0.10)
 	if !d.HasRegressions() {
 		t.Fatal("injected 25-point model-error drift must fail the gate")
 	}
@@ -58,12 +69,15 @@ func TestDiffHostDriftWarnsOnly(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
 	cur.Records[2].RelErrFitted = 0.50
-	d := Diff(old, cur, 0.10)
+	d := diff(t, old, cur, 0.10)
 	if d.HasRegressions() {
 		t.Fatalf("host drift must not fail the gate: %+v", d.Regressions)
 	}
-	if len(d.Warnings) == 0 || !strings.Contains(d.Warnings[0], "host record") {
+	if len(d.Warnings) != 1 || d.Warnings[0].ID != "host-cpu/vecaddmod/N8192" {
 		t.Fatalf("expected a host-record warning, got %v", d.Warnings)
+	}
+	if s := d.Summary(); !strings.Contains(s, "WARNING") {
+		t.Errorf("summary does not show the warning:\n%s", s)
 	}
 }
 
@@ -73,15 +87,16 @@ func TestDiffImprovementAndUnchanged(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
 	cur.Records[1].RelErrFitted = 0.02 // |−0.10| → 0.02: improvement
-	d := Diff(old, cur, 0.05)
+	d := diff(t, old, cur, 0.05)
 	if d.HasRegressions() {
 		t.Fatalf("unexpected regressions: %+v", d.Regressions)
 	}
 	if len(d.Improvements) != 1 || d.Improvements[0].ID != "TPUv4/bootstrap_amortized/SetD" {
 		t.Fatalf("improvements = %+v", d.Improvements)
 	}
-	if d.Unchanged != 2 {
-		t.Fatalf("unchanged = %d, want 2", d.Unchanged)
+	// Two records plus two fits of four constants each.
+	if d.Unchanged != 10 {
+		t.Fatalf("unchanged = %d, want 10", d.Unchanged)
 	}
 }
 
@@ -92,21 +107,22 @@ func TestDiffConstantDrift(t *testing.T) {
 	cur := baseReport()
 	cur.Fits[0].Fitted.NTTEfficiency = 4 // published: 2 → 4
 	cur.Fits[1].Fitted.LaunchOverhead = 1e-6
-	d := Diff(old, cur, 0.10)
+	d := diff(t, old, cur, 0.10)
 	if !d.HasRegressions() {
 		t.Fatal("published constant drift must fail the gate")
 	}
-	if len(d.ConstantDrift) != 1 || !strings.Contains(d.ConstantDrift[0], "TPUv4") {
-		t.Fatalf("ConstantDrift = %v", d.ConstantDrift)
+	if len(d.Regressions) != 1 || d.Regressions[0].ID != "fit/TPUv4" || d.Regressions[0].Metric != "ntt_efficiency" {
+		t.Fatalf("regressions = %+v, want fit/TPUv4 ntt_efficiency", d.Regressions)
 	}
-	foundHost := false
-	for _, w := range d.Warnings {
-		if strings.Contains(w, "host constants drifted") {
-			foundHost = true
-		}
+	if len(d.Warnings) != 1 || d.Warnings[0].ID != "fit/host-cpu" || d.Warnings[0].Metric != "launch_overhead_s" {
+		t.Fatalf("host constant drift must warn: %+v", d.Warnings)
 	}
-	if !foundHost {
-		t.Fatalf("host constant drift must warn: %v", d.Warnings)
+	// A constant has no better direction: a fall beyond the threshold
+	// drifts too.
+	cur = baseReport()
+	cur.Fits[0].Fitted.HBMFraction = 0.25
+	if d := diff(t, old, cur, 0.10); len(d.Regressions) != 1 || d.Regressions[0].Metric != "hbm_fraction" {
+		t.Fatalf("falling constant not gated: %+v", d.Regressions)
 	}
 }
 
@@ -115,34 +131,52 @@ func TestDiffEnvMismatchWarns(t *testing.T) {
 	old := baseReport()
 	cur := baseReport()
 	cur.Env.GoVersion = "go1.24.0"
-	d := Diff(old, cur, 0.10)
+	d := diff(t, old, cur, 0.10)
 	if d.HasRegressions() {
 		t.Fatal("env mismatch must not fail the gate")
 	}
-	found := false
-	for _, w := range d.Warnings {
-		if strings.Contains(w, "go_version") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected a go_version warning, got %v", d.Warnings)
+	if len(d.EnvWarnings) != 1 || !strings.Contains(d.EnvWarnings[0], "go_version") {
+		t.Fatalf("expected a go_version warning, got %v", d.EnvWarnings)
 	}
 }
 
 // Identical reports diff clean, and coverage drift is reported.
 func TestDiffCleanAndCoverage(t *testing.T) {
 	old := baseReport()
-	d := Diff(old, baseReport(), 0.10)
-	if d.HasRegressions() || len(d.Improvements) != 0 || d.Unchanged != 3 || len(d.Warnings) != 0 {
+	d := diff(t, old, baseReport(), 0.10)
+	if d.HasRegressions() || len(d.Improvements) != 0 || d.Unchanged != 11 || len(d.Warnings) != 0 || len(d.EnvWarnings) != 0 {
 		t.Fatalf("self-diff not clean: %+v", d)
 	}
 
 	cur := baseReport()
 	cur.Records = cur.Records[:2]
 	cur.Records = append(cur.Records, calibRec("H100/ntt_throughput/N4096", SourcePublished, 0.01))
-	d = Diff(old, cur, 0.10)
+	d = diff(t, old, cur, 0.10)
 	if len(d.OnlyInOld) != 1 || len(d.OnlyInNew) != 1 {
 		t.Fatalf("coverage drift not reported: %+v", d)
+	}
+}
+
+// A published constant zeroed in the baseline must not pass the gate
+// (the zero-baseline rule), and a fit spec present on one side only is
+// coverage drift, not silence.
+func TestDiffConstantZeroBaselineAndFitCoverage(t *testing.T) {
+	old := baseReport()
+	old.Fits[0].Fitted.VMEMFraction = 0
+	d := diff(t, old, baseReport(), 0.10)
+	if len(d.Regressions) != 1 || d.Regressions[0].ID != "fit/TPUv4" || d.Regressions[0].Metric != "vmem_fraction" {
+		t.Fatalf("zeroed baseline constant not gated: %+v", d.Regressions)
+	}
+
+	cur := baseReport()
+	cur.Fits = append(cur.Fits, SpecFit{Spec: "A100-40GB", Source: SourcePublished,
+		Fitted: tpusim.Calibration{LaunchOverhead: 1e-6, HBMFraction: 1, VMEMFraction: 1, NTTEfficiency: 1}})
+	d = diff(t, cur, baseReport(), 0.10)
+	if len(d.OnlyInOld) != 1 || d.OnlyInOld[0] != "fit/A100-40GB" {
+		t.Fatalf("fit only in baseline not reported: %v", d.OnlyInOld)
+	}
+	d = diff(t, baseReport(), cur, 0.10)
+	if len(d.OnlyInNew) != 1 || d.OnlyInNew[0] != "fit/A100-40GB" {
+		t.Fatalf("fit only in new run not reported: %v", d.OnlyInNew)
 	}
 }

@@ -86,29 +86,24 @@ func (e Environment) Mismatches(current Environment) []string {
 }
 
 // File is the on-disk BENCH_host.json schema: the measured records plus
-// the environment they were measured on. The pre-environment schema (a
-// bare record array) is still read by crossbench for compatibility.
+// the environment they were measured on.
 type File struct {
 	Env     Environment `json:"env"`
 	Records []Record    `json:"records"`
 }
 
-// RunFile measures every gated kernel (Run) and wraps the records with
-// the current environment — the committable BENCH_host.json content.
+// RunFile measures every gated kernel at benchN through Measure and
+// returns the committable BENCH_host.json content: a record's ns/op is
+// the best of DefaultRepeats samples, its allocs/op the count over the
+// same timed iterations.
 func RunFile() (File, error) {
-	recs, err := Run()
+	samples, err := Measure([]int{benchN}, DefaultRepeats)
 	if err != nil {
 		return File{}, err
 	}
+	recs := make([]Record, len(samples))
+	for i, s := range samples {
+		recs[i] = Record{ID: s.ID, NsPerOp: s.Best(), AllocsPerOp: s.AllocsPerOp}
+	}
 	return File{Env: CurrentEnvironment(), Records: recs}, nil
-}
-
-// DiffFiles compares two environment-carrying runs: records gate
-// exactly as Diff, and environment mismatches surface as warnings —
-// never regressions, because measuring on different CI hardware is
-// expected and must not hard-fail the gate.
-func DiffFiles(old, new File, threshold float64) DiffResult {
-	d := Diff(old.Records, new.Records, threshold)
-	d.EnvWarnings = old.Env.Mismatches(new.Env)
-	return d
 }

@@ -22,7 +22,10 @@ func TestDiffFilesWarnsOnEnvMismatch(t *testing.T) {
 	cur.Env.CPUModel = "New CPU @ 3.5GHz"
 	cur.Env.GOMAXPROCS = 16
 
-	d := DiffFiles(base, cur, 0.25)
+	d, err := DiffFiles(base, cur, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.HasRegressions() {
 		t.Fatalf("environment drift must not be a regression: %+v", d.Regressions)
 	}
@@ -40,15 +43,18 @@ func TestDiffFilesWarnsOnEnvMismatch(t *testing.T) {
 	}
 }
 
-// A legacy baseline (bare record array → zero Environment) must compare
+// A baseline with no environment block (zero Environment) must compare
 // warning-free against any host.
 func TestDiffFilesLegacyBaselineNoWarnings(t *testing.T) {
 	recs := []Record{rec("k", 100, 0)}
-	d := DiffFiles(File{Records: recs}, File{Env: CurrentEnvironment(), Records: recs}, 0.25)
+	d, err := DiffFiles(File{Records: recs}, File{Env: CurrentEnvironment(), Records: recs}, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(d.EnvWarnings) != 0 {
 		t.Fatalf("zero baseline env must not warn: %v", d.EnvWarnings)
 	}
-	if d.HasRegressions() || d.Unchanged != 1 {
+	if d.HasRegressions() || d.Unchanged != 2 {
 		t.Fatalf("records must still gate normally: %+v", d)
 	}
 }

@@ -8,7 +8,11 @@
 // fails on regression, so a PR claiming a speedup has to carry the
 // numbers that prove it.
 //
-// Two gates with different strictness:
+// One timing harness, Measure, serves both the gate and the
+// calibration harness (internal/calib): each kernel runs in batches
+// that fill a 2 ms window, DefaultRepeats times, and a record's ns/op
+// is the best batch while its allocs/op is counted over all of them.
+// Two gate policies with different strictness (DiffFiles):
 //
 //   - ns/op is compared against a generous fractional threshold
 //     (default 25%) because shared CI runners are noisy;
@@ -20,14 +24,12 @@ package hostbench
 import (
 	"fmt"
 	"math/rand"
-	"strings"
-	"testing"
 
 	"cross/internal/bat"
+	"cross/internal/gate"
 	"cross/internal/modarith"
 	"cross/internal/ring"
 	"cross/internal/rns"
-	"cross/internal/sweep"
 )
 
 // Record is one kernel's measurement at its fixed benchmark size.
@@ -44,9 +46,7 @@ const benchN = 1 << 13
 
 // kernel is one benchmarkable host kernel: a base name (the calibration
 // vocabulary shared with cross.CalibKernels), a full hostbench ID
-// (base/size), and a closure running exactly one operation. The same
-// set backs both Run (testing.Benchmark, allocation counting) and
-// Measure (raw timing samples for the calibration harness).
+// (base/size), and a closure running exactly one operation.
 type kernel struct {
 	base string
 	id   string
@@ -153,145 +153,35 @@ func buildKernels(n int, withBAT bool) ([]kernel, error) {
 	return ks, nil
 }
 
-// Run measures every gated kernel and returns the records in a stable
-// order (the committable BENCH_host.json record content).
-func Run() ([]Record, error) {
-	ks, err := buildKernels(benchN, true)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]Record, 0, len(ks))
-	for _, k := range ks {
-		op := k.op
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := op(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		recs = append(recs, Record{
-			ID:          k.id,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-		})
-	}
-	return recs, nil
-}
-
-// Delta is one kernel's old-vs-new comparison.
-type Delta struct {
-	ID        string  `json:"id"`
-	OldNs     float64 `json:"old_ns"`
-	NewNs     float64 `json:"new_ns"`
-	RelNs     float64 `json:"rel_ns"` // NewNs/OldNs − 1
-	OldAllocs float64 `json:"old_allocs"`
-	NewAllocs float64 `json:"new_allocs"`
-	Class     string  `json:"class"`
-}
-
-// Delta classes (shared vocabulary with sweep.Diff).
+// Gated metrics.
 const (
-	ClassRegression  = "regression"
-	ClassImprovement = "improvement"
-	ClassUnchanged   = "unchanged"
+	metricNs     = "ns_per_op"
+	metricAllocs = "allocs_per_op"
 )
 
-// DiffResult is the classified comparison of two host benchmark runs.
-type DiffResult struct {
-	Threshold    float64 `json:"threshold"`
-	Regressions  []Delta `json:"regressions"`
-	Improvements []Delta `json:"improvements"`
-	Unchanged    int     `json:"unchanged"`
-
-	OnlyInOld []string `json:"only_in_old,omitempty"`
-	OnlyInNew []string `json:"only_in_new,omitempty"`
-
-	// EnvWarnings describe baseline-vs-current environment mismatches
-	// (DiffFiles). Warnings only — different CI hardware explains noisy
-	// timings but must not hard-fail the gate.
-	EnvWarnings []string `json:"env_warnings,omitempty"`
+// DiffFiles compares two host runs record by record (matched on ID):
+// ns/op under gate's relative policy at the fractional threshold, and
+// allocs/op under the strict policy — allocation counts carry no
+// noise, so any increase is a regression at any ns threshold.
+// Environment mismatches become warnings, never failures: measuring on
+// different CI hardware is expected.
+func DiffFiles(old, new File, threshold float64) (gate.Result, error) {
+	metrics := []gate.Metric{
+		{Name: metricNs, Unit: "ns", Policy: gate.Policy{Kind: gate.Relative, Threshold: threshold}},
+		{Name: metricAllocs, Policy: gate.Policy{Kind: gate.Strict}},
+	}
+	res, err := gate.Diff("hostbench", metrics, gateRecords(old.Records), gateRecords(new.Records))
+	if err != nil {
+		return gate.Result{}, err
+	}
+	res.EnvWarnings = old.Env.Mismatches(new.Env)
+	return res, nil
 }
 
-// HasRegressions reports whether any kernel regressed — in wall time
-// beyond the threshold, or in allocations at all.
-func (d DiffResult) HasRegressions() bool { return len(d.Regressions) > 0 }
-
-// Summary renders a human-readable gate report.
-func (d DiffResult) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hostbench diff @ ns threshold %.0f%% (allocs strict): %d regression(s), %d improvement(s), %d unchanged\n",
-		d.Threshold*100, len(d.Regressions), len(d.Improvements), d.Unchanged)
-	for _, r := range d.Regressions {
-		fmt.Fprintf(&b, "  REGRESSION  %-28s %.0f ns → %.0f ns (%+.1f%%), %g → %g allocs\n",
-			r.ID, r.OldNs, r.NewNs, r.RelNs*100, r.OldAllocs, r.NewAllocs)
+func gateRecords(recs []Record) []gate.Record {
+	out := make([]gate.Record, len(recs))
+	for i, r := range recs {
+		out[i] = gate.Record{ID: r.ID, Values: map[string]float64{metricNs: r.NsPerOp, metricAllocs: r.AllocsPerOp}}
 	}
-	for _, r := range d.Improvements {
-		fmt.Fprintf(&b, "  improvement %-28s %.0f ns → %.0f ns (%+.1f%%)\n", r.ID, r.OldNs, r.NewNs, r.RelNs*100)
-	}
-	if len(d.OnlyInOld) > 0 {
-		fmt.Fprintf(&b, "  only in baseline: %v\n", d.OnlyInOld)
-	}
-	if len(d.OnlyInNew) > 0 {
-		fmt.Fprintf(&b, "  only in new run: %v\n", d.OnlyInNew)
-	}
-	for _, w := range d.EnvWarnings {
-		fmt.Fprintf(&b, "  WARNING environment mismatch — %s\n", w)
-	}
-	return b.String()
-}
-
-// Diff compares two host benchmark runs record-by-record (matched on
-// ID). Wall time is classified against the fractional threshold;
-// allocs/op is gated strictly — ANY increase is a regression
-// regardless of timing, because allocation counts carry no noise.
-// Records appearing in only one run are reported, not classified.
-func Diff(old, new []Record, threshold float64) DiffResult {
-	if threshold < 0 {
-		threshold = 0
-	}
-	d := DiffResult{Threshold: threshold}
-	oldByID := make(map[string]Record, len(old))
-	for _, r := range old {
-		oldByID[r.ID] = r
-	}
-	seen := make(map[string]bool, len(new))
-	for _, r := range new {
-		seen[r.ID] = true
-		o, ok := oldByID[r.ID]
-		if !ok {
-			d.OnlyInNew = append(d.OnlyInNew, r.ID)
-			continue
-		}
-		delta := Delta{
-			ID: r.ID, OldNs: o.NsPerOp, NewNs: r.NsPerOp,
-			OldAllocs: o.AllocsPerOp, NewAllocs: r.AllocsPerOp,
-		}
-		// Wall time classifies through the same semantics as the sweep
-		// gate — in particular a non-positive baseline ns/op with any
-		// different new latency is a regression, never unchanged (a
-		// hollowed-out BENCH_host.json must not pass silently).
-		relNs, nsClass := sweep.Classify(o.NsPerOp, r.NsPerOp, threshold)
-		delta.RelNs = relNs
-		if r.AllocsPerOp > o.AllocsPerOp {
-			delta.Class = ClassRegression
-		} else {
-			delta.Class = nsClass
-		}
-		switch delta.Class {
-		case ClassRegression:
-			d.Regressions = append(d.Regressions, delta)
-		case ClassImprovement:
-			d.Improvements = append(d.Improvements, delta)
-		default:
-			d.Unchanged++
-		}
-	}
-	for _, r := range old {
-		if !seen[r.ID] {
-			d.OnlyInOld = append(d.OnlyInOld, r.ID)
-		}
-	}
-	return d
+	return out
 }

@@ -3,8 +3,13 @@ package hostbench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 )
+
+// DefaultRepeats is the number of timing samples per kernel and size:
+// the calibration harness's default and the gate records' count.
+const DefaultRepeats = 5
 
 // Sample is one kernel's raw measurement at one size: every repeat's
 // ns/op, unaggregated, so the calibration harness can both fit against
@@ -18,6 +23,10 @@ type Sample struct {
 	// sweep size for the size-independent BAT matmul).
 	N  int       `json:"n"`
 	Ns []float64 `json:"ns_per_op"`
+	// AllocsPerOp is the heap allocation count over every timed
+	// iteration divided by their number, truncated to an integer as
+	// testing.AllocsPerRun does.
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // Best returns the sample's minimum ns/op — the standard
@@ -39,9 +48,8 @@ const measureBudget = 2 * time.Millisecond
 
 // Measure times every gated kernel at each degree, repeats times per
 // point, and returns the raw samples in a stable order (sizes as given,
-// kernels in the canonical Run order). The size-independent BAT matmul
-// rides along with the first size only. Unlike Run it does not count
-// allocations — it exists to feed measured latencies to internal/calib.
+// kernels in buildKernels order). The size-independent BAT matmul
+// rides along with the first size only.
 func Measure(sizes []int, repeats int) ([]Sample, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("hostbench: no sizes to measure")
@@ -61,6 +69,8 @@ func Measure(sizes []int, repeats int) ([]Sample, error) {
 				return nil, err
 			}
 			ns := make([]float64, 0, repeats)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for r := 0; r < repeats; r++ {
 				v, err := timeOp(k.op, iters)
 				if err != nil {
@@ -68,7 +78,9 @@ func Measure(sizes []int, repeats int) ([]Sample, error) {
 				}
 				ns = append(ns, v)
 			}
-			out = append(out, Sample{Kernel: k.base, ID: k.id, N: n, Ns: ns})
+			runtime.ReadMemStats(&after)
+			allocs := (after.Mallocs - before.Mallocs) / uint64(iters*repeats)
+			out = append(out, Sample{Kernel: k.base, ID: k.id, N: n, Ns: ns, AllocsPerOp: float64(allocs)})
 		}
 	}
 	return out, nil

@@ -1,6 +1,9 @@
 package hostbench
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // The kernel set at benchN must reproduce the exact record IDs the
 // committed BENCH_host.json has always carried — the refactor that
@@ -69,5 +72,31 @@ func TestMeasureRejectsBadSizes(t *testing.T) {
 	}
 	if _, err := Measure([]int{128}, 3); err == nil {
 		t.Error("size below the MAT split must error")
+	}
+}
+
+// RunFile's records are the historical kernel set at benchN, each with
+// a positive best-of-repeats ns/op and a whole allocs/op count (the
+// kernels' zero-allocation checks live with the kernels: the race
+// detector's sync.Pool drops make a count here nonzero).
+func TestRunFileRecords(t *testing.T) {
+	f, err := RunFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := buildKernels(benchN, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Records) != len(ks) {
+		t.Fatalf("%d records, want %d", len(f.Records), len(ks))
+	}
+	for i, r := range f.Records {
+		if r.ID != ks[i].id || !(r.NsPerOp > 0) || r.AllocsPerOp < 0 || r.AllocsPerOp != math.Trunc(r.AllocsPerOp) {
+			t.Errorf("record %d = %+v, want ID %s, ns/op > 0, whole allocs/op ≥ 0", i, r, ks[i].id)
+		}
+	}
+	if f.Env.GoVersion == "" {
+		t.Error("RunFile did not stamp the environment")
 	}
 }

@@ -3,11 +3,23 @@ package sweep
 import (
 	"math"
 	"testing"
+
+	"cross/internal/gate"
 )
 
 // rec builds a minimal record for diff tests.
 func rec(id string, total float64) Record {
 	return Record{ID: id, TotalS: total}
+}
+
+// mustDiff is Diff for inputs without duplicate IDs.
+func mustDiff(t *testing.T, old, new []Record, threshold float64) gate.Result {
+	t.Helper()
+	d, err := Diff(old, new, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestDiffClassification is the gate's acceptance check: an injected
@@ -26,20 +38,20 @@ func TestDiffClassification(t *testing.T) {
 		rec("SetD/TPUv6e-1/MNIST", 2e-3),     // unchanged
 	}
 
-	d := Diff(old, newer, threshold)
+	d := mustDiff(t, old, newer, threshold)
 	if !d.HasRegressions() {
 		t.Fatal("+1% latency not flagged as regression")
 	}
 	if len(d.Regressions) != 1 || d.Regressions[0].ID != "SetD/TPUv6e-1/HE-Mult" || d.Regressions[0].Metric != MetricTotal {
 		t.Errorf("regressions = %+v, want exactly the +1%% total_s record", d.Regressions)
 	}
-	if got := d.Regressions[0].Rel; math.Abs(got-0.01) > 1e-9 {
+	if got := d.Regressions[0].Change; math.Abs(got-0.01) > 1e-9 {
 		t.Errorf("regression rel = %g, want 0.01", got)
 	}
 	if len(d.Improvements) != 1 || d.Improvements[0].ID != "SetD/TPUv6e-1/Rotate" {
 		t.Errorf("improvements = %+v, want exactly the −1%% record", d.Improvements)
 	}
-	if got := d.Improvements[0].Rel; math.Abs(got+0.01) > 1e-9 {
+	if got := d.Improvements[0].Change; math.Abs(got+0.01) > 1e-9 {
 		t.Errorf("improvement rel = %g, want −0.01", got)
 	}
 	if d.Unchanged != 1 {
@@ -56,22 +68,22 @@ func TestDiffThresholdBoundary(t *testing.T) {
 		newS  float64
 		class string
 	}{
-		{"well within", 100.2e-6, ClassUnchanged},
-		{"exactly at threshold", 100.5e-6, ClassUnchanged}, // gate is strict >
-		{"just beyond", 100.6e-6, ClassRegression},
-		{"faster within", 99.6e-6, ClassUnchanged},
-		{"faster beyond", 99.4e-6, ClassImprovement},
+		{"well within", 100.2e-6, gate.ClassUnchanged},
+		{"exactly at threshold", 100.5e-6, gate.ClassUnchanged}, // gate is strict >
+		{"just beyond", 100.6e-6, gate.ClassRegression},
+		{"faster within", 99.6e-6, gate.ClassUnchanged},
+		{"faster beyond", 99.4e-6, gate.ClassImprovement},
 	}
 	for _, tc := range cases {
-		d := Diff([]Record{rec("x", 100e-6)}, []Record{rec("x", tc.newS)}, threshold)
+		d := mustDiff(t, []Record{rec("x", 100e-6)}, []Record{rec("x", tc.newS)}, threshold)
 		var got string
 		switch {
 		case len(d.Regressions) == 1:
-			got = ClassRegression
+			got = gate.ClassRegression
 		case len(d.Improvements) == 1:
-			got = ClassImprovement
+			got = gate.ClassImprovement
 		case d.Unchanged == 1:
-			got = ClassUnchanged
+			got = gate.ClassUnchanged
 		}
 		if got != tc.class {
 			t.Errorf("%s (%.4g): classified %q, want %q", tc.name, tc.newS, got, tc.class)
@@ -84,7 +96,7 @@ func TestDiffThresholdBoundary(t *testing.T) {
 func TestDiffCoverageDrift(t *testing.T) {
 	old := []Record{rec("kept", 1), rec("removed", 1)}
 	newer := []Record{rec("kept", 1), rec("added", 1)}
-	d := Diff(old, newer, 0.005)
+	d := mustDiff(t, old, newer, 0.005)
 	if d.HasRegressions() {
 		t.Error("coverage drift must not gate")
 	}
@@ -102,51 +114,51 @@ func TestDiffCoverageDrift(t *testing.T) {
 // TestDiffZeroBaseline: a latency appearing from zero is a regression
 // (guards against a hollowed-out baseline silently passing).
 func TestDiffZeroBaseline(t *testing.T) {
-	d := Diff([]Record{rec("x", 0)}, []Record{rec("x", 1e-6)}, 0.005)
+	d := mustDiff(t, []Record{rec("x", 0)}, []Record{rec("x", 1e-6)}, 0.005)
 	if !d.HasRegressions() {
 		t.Error("0 → 1µs not flagged")
 	}
-	d = Diff([]Record{rec("x", 0)}, []Record{rec("x", 0)}, 0.005)
+	d = mustDiff(t, []Record{rec("x", 0)}, []Record{rec("x", 0)}, 0.005)
 	if d.HasRegressions() || d.Unchanged != 1 {
 		t.Error("0 → 0 must be unchanged")
 	}
 }
 
-// TestClassifyEdgeCases pins Classify's corner semantics: zero and
-// negative baselines regress (unless bit-equal), and Diff clamps a
-// negative threshold to 0 so any drift classifies.
+// TestClassifyEdgeCases pins the relative policy's corner semantics on
+// total_s: zero and negative baselines regress (unless bit-equal), and
+// a negative threshold counts as 0, so exact equality is still
+// unchanged and any drift classifies by its direction.
 func TestClassifyEdgeCases(t *testing.T) {
 	cases := []struct {
 		name       string
 		oldS, newS float64
 		threshold  float64
-		wantRel    float64
+		wantChange float64
 		wantClass  string
 	}{
-		{"zero to positive", 0, 1e-6, 0.005, 1, ClassRegression},
-		{"zero to zero", 0, 0, 0.005, 0, ClassUnchanged},
-		{"negative baseline", -1e-6, 1e-6, 0.005, 1, ClassRegression},
-		{"equal values", 42e-6, 42e-6, 0.005, 0, ClassUnchanged},
-		// Raw Classify does not clamp: with a negative threshold every
-		// non-equal change lands on the regression side (Diff clamps
-		// thresholds to 0 before classifying).
-		{"negative threshold, increase", 100e-6, 100.0001e-6, -1, 1e-6, ClassRegression},
-		{"negative threshold, decrease", 100e-6, 99.9999e-6, -1, -1e-6, ClassRegression},
+		{"zero to positive", 0, 1e-6, 0.005, 1, gate.ClassRegression},
+		{"zero to zero", 0, 0, 0.005, 0, gate.ClassUnchanged},
+		{"negative baseline", -1e-6, 1e-6, 0.005, 1, gate.ClassRegression},
+		{"equal values", 42e-6, 42e-6, 0.005, 0, gate.ClassUnchanged},
+		{"negative threshold, equal", 1, 1, -0.5, 0, gate.ClassUnchanged},
+		{"negative threshold, increase", 100e-6, 100.0001e-6, -1, 1e-6, gate.ClassRegression},
+		{"negative threshold, decrease", 100e-6, 99.9999e-6, -1, -1e-6, gate.ClassImprovement},
 	}
 	for _, tc := range cases {
-		rel, class := Classify(tc.oldS, tc.newS, tc.threshold)
-		if class != tc.wantClass {
-			t.Errorf("%s: class %q, want %q", tc.name, class, tc.wantClass)
+		d := mustDiff(t, []Record{rec("x", tc.oldS)}, []Record{rec("x", tc.newS)}, tc.threshold)
+		changed := append(append(d.Regressions, d.Improvements...), d.Warnings...)
+		switch {
+		case len(changed) == 0 && d.Unchanged == 1:
+			if tc.wantClass != gate.ClassUnchanged {
+				t.Errorf("%s: unchanged, want %q", tc.name, tc.wantClass)
+			}
+		case len(changed) == 1:
+			if changed[0].Class != tc.wantClass || math.Abs(changed[0].Change-tc.wantChange) > 1e-9 {
+				t.Errorf("%s: %q change %g, want %q change %g", tc.name, changed[0].Class, changed[0].Change, tc.wantClass, tc.wantChange)
+			}
+		default:
+			t.Errorf("%s: %+v", tc.name, d)
 		}
-		if math.Abs(rel-tc.wantRel) > 1e-9 {
-			t.Errorf("%s: rel %g, want %g", tc.name, rel, tc.wantRel)
-		}
-	}
-	// Diff clamps a negative threshold to 0 — exact equality is still
-	// unchanged, any drift classifies.
-	d := Diff([]Record{rec("x", 1), rec("y", 1)}, []Record{rec("x", 1), rec("y", 1.0001)}, -0.5)
-	if d.Unchanged != 1 || len(d.Regressions) != 1 {
-		t.Errorf("negative threshold Diff: %+v", d)
 	}
 }
 
@@ -162,11 +174,11 @@ func TestDiffRealSweepSelfCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Diff(recs, recs, 0.005)
+	d := mustDiff(t, recs, recs, 0.005)
 	if d.HasRegressions() || len(d.Improvements) != 0 || len(d.OnlyInOld) != 0 || len(d.OnlyInNew) != 0 {
 		t.Errorf("self-compare not clean: %s", d.Summary())
 	}
-	if len(d.OverlappedOnlyInOld) != 0 || len(d.OverlappedOnlyInNew) != 0 {
+	if len(d.MetricOnlyInOld) != 0 || len(d.MetricOnlyInNew) != 0 {
 		t.Errorf("self-compare reports overlapped coverage drift: %s", d.Summary())
 	}
 	// Every real record carries both metrics, so each contributes two
@@ -182,7 +194,7 @@ func TestDiffRealSweepSelfCompare(t *testing.T) {
 func TestDiffOverlappedClassified(t *testing.T) {
 	old := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80e-6}}
 	newer := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80.8e-6}}
-	d := Diff(old, newer, 0.005)
+	d := mustDiff(t, old, newer, 0.005)
 	if !d.HasRegressions() {
 		t.Fatal("+1% overlapped_s not flagged as regression")
 	}
@@ -204,27 +216,27 @@ func TestDiffOverlappedSchemaMigration(t *testing.T) {
 	// Old baseline without the column vs new sweep with it.
 	old := []Record{{ID: "x", TotalS: 100e-6}}
 	newer := []Record{{ID: "x", TotalS: 100e-6, OverlappedS: 80e-6}}
-	d := Diff(old, newer, 0.005)
+	d := mustDiff(t, old, newer, 0.005)
 	if d.HasRegressions() {
 		t.Errorf("missing baseline column gated as regression: %s", d.Summary())
 	}
-	if len(d.OverlappedOnlyInNew) != 1 || d.OverlappedOnlyInNew[0] != "x" {
-		t.Errorf("OverlappedOnlyInNew = %v, want [x]", d.OverlappedOnlyInNew)
+	if want := (gate.MetricRef{ID: "x", Metric: MetricOverlapped}); len(d.MetricOnlyInNew) != 1 || d.MetricOnlyInNew[0] != want {
+		t.Errorf("MetricOnlyInNew = %v, want [%v]", d.MetricOnlyInNew, want)
 	}
 
 	// New sweep that hollowed the column out: must not classify 80µs→0
 	// as an improvement.
-	d = Diff(newer, old, 0.005)
+	d = mustDiff(t, newer, old, 0.005)
 	if len(d.Improvements) != 0 {
 		t.Errorf("hollowed-out overlapped column classified as improvement: %+v", d.Improvements)
 	}
-	if len(d.OverlappedOnlyInOld) != 1 || d.OverlappedOnlyInOld[0] != "x" {
-		t.Errorf("OverlappedOnlyInOld = %v, want [x]", d.OverlappedOnlyInOld)
+	if want := (gate.MetricRef{ID: "x", Metric: MetricOverlapped}); len(d.MetricOnlyInOld) != 1 || d.MetricOnlyInOld[0] != want {
+		t.Errorf("MetricOnlyInOld = %v, want [%v]", d.MetricOnlyInOld, want)
 	}
 
 	// Neither side carries the column: nothing to compare, no drift.
-	d = Diff([]Record{rec("x", 1)}, []Record{rec("x", 1)}, 0.005)
-	if len(d.OverlappedOnlyInOld) != 0 || len(d.OverlappedOnlyInNew) != 0 {
+	d = mustDiff(t, []Record{rec("x", 1)}, []Record{rec("x", 1)}, 0.005)
+	if len(d.MetricOnlyInOld) != 0 || len(d.MetricOnlyInNew) != 0 {
 		t.Errorf("column-free records report overlapped drift: %s", d.Summary())
 	}
 	if d.Unchanged != 1 {

@@ -105,7 +105,10 @@ func TestGPURecordsAreCoverageDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Diff(preGPU, fresh, 0.005)
+	d, err := Diff(preGPU, fresh, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if d.HasRegressions() {
 		t.Errorf("GPU axis growth classified as regression:\n%s", d.Summary())
