@@ -81,46 +81,3 @@ func IsSymmetric(a []uint64, n int) bool {
 	}
 	return true
 }
-
-// EmbedResult classifies how the compiler disposed of a reordering.
-type EmbedResult int
-
-const (
-	// EmbeddedOffline: the permutation was absorbed into a constant;
-	// zero runtime cost.
-	EmbeddedOffline EmbedResult = iota
-	// DeferredLayout: the permutation became a layout tag on the output
-	// (consumed later or never); zero runtime cost.
-	DeferredLayout
-	// RuntimeGather: no constant could absorb it; the simulator charges
-	// an XLU gather (the automorphism case of Fig. 12).
-	RuntimeGather
-)
-
-func (e EmbedResult) String() string {
-	switch e {
-	case EmbeddedOffline:
-		return "embedded-offline"
-	case DeferredLayout:
-		return "deferred-layout"
-	case RuntimeGather:
-		return "runtime-gather"
-	default:
-		return "unknown"
-	}
-}
-
-// ClassifyReordering implements the compiler's embedding decision:
-// a reordering followed by an op with a constant operand embeds; one
-// feeding only element-wise ops defers as a layout tag; anything else
-// gathers at runtime.
-func ClassifyReordering(hasConstantConsumer, consumerElementwise bool) EmbedResult {
-	switch {
-	case hasConstantConsumer:
-		return EmbeddedOffline
-	case consumerElementwise:
-		return DeferredLayout
-	default:
-		return RuntimeGather
-	}
-}

@@ -140,51 +140,6 @@ func TestDigitSwap(t *testing.T) {
 	}
 }
 
-func TestRotation(t *testing.T) {
-	p := Rotation(5, 2)
-	in := []uint64{10, 11, 12, 13, 14}
-	want := []uint64{12, 13, 14, 10, 11}
-	if got := p.ApplyNew(in); !vecEq(got, want) {
-		t.Fatalf("rotation: %v want %v", got, want)
-	}
-	if !Rotation(5, 5).IsIdentity() || !Rotation(5, 0).IsIdentity() {
-		t.Fatal("full/zero rotation should be identity")
-	}
-	if !Rotation(5, -2).Compose(Rotation(5, 2)).IsIdentity() {
-		t.Fatal("negative rotation is not the inverse")
-	}
-}
-
-func TestDenseMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	p := randPerm(rng, 16)
-	m := p.DenseMatrix()
-	v := randVec(rng, 16)
-	// Matrix-vector product must equal Apply.
-	got := make([]uint64, 16)
-	for i := 0; i < 16; i++ {
-		var acc uint64
-		for j := 0; j < 16; j++ {
-			acc += m[i*16+j] * v[j]
-		}
-		got[i] = acc
-	}
-	if !vecEq(got, p.ApplyNew(v)) {
-		t.Fatal("DenseMatrix product != Apply")
-	}
-	// Exactly one 1 per row and column.
-	for i := 0; i < 16; i++ {
-		var rowSum, colSum uint64
-		for j := 0; j < 16; j++ {
-			rowSum += m[i*16+j]
-			colSum += m[j*16+i]
-		}
-		if rowSum != 1 || colSum != 1 {
-			t.Fatal("DenseMatrix is not a permutation matrix")
-		}
-	}
-}
-
 func TestEmbedIntoVecParam(t *testing.T) {
 	// π(a ⊙ w) == π(a) ⊙ π(w): embedding the permutation into the
 	// parameter gives the permuted result from permuted input.
@@ -292,26 +247,6 @@ func TestIsSymmetric(t *testing.T) {
 	asym := []uint64{1, 2, 3, 4}
 	if IsSymmetric(asym, 2) {
 		t.Error("asymmetric matrix reported symmetric")
-	}
-}
-
-func TestClassifyReordering(t *testing.T) {
-	if ClassifyReordering(true, false) != EmbeddedOffline {
-		t.Error("constant consumer should embed")
-	}
-	if ClassifyReordering(false, true) != DeferredLayout {
-		t.Error("elementwise consumer should defer")
-	}
-	if ClassifyReordering(false, false) != RuntimeGather {
-		t.Error("no consumer should gather")
-	}
-	for e, want := range map[EmbedResult]string{
-		EmbeddedOffline: "embedded-offline", DeferredLayout: "deferred-layout",
-		RuntimeGather: "runtime-gather", EmbedResult(9): "unknown",
-	} {
-		if e.String() != want {
-			t.Errorf("EmbedResult(%d).String() = %q", e, e.String())
-		}
 	}
 }
 

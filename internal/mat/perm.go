@@ -4,12 +4,10 @@
 // compile-time-known parameter — embedding it into that parameter
 // offline so the runtime kernel never moves data (Fig. 9).
 //
-// The ring package's layout-invariant 3-step NTT consumes this package's
-// bit-reversal and digit-swap permutations; the CROSS compiler uses the
-// embedding rules to decide which reorderings vanish at compile time
-// (all NTT transposes and bit-reversals) and which must fall back to a
-// runtime gather (general automorphisms, the 21% of Rotate latency in
-// Fig. 12).
+// It is the reference model of MAT's algebra, checked by its own tests:
+// the ring package builds its 3-step NTT layouts (bit reversal, digit
+// swap, transposed twiddles) directly and checks them against the naive
+// NTT, and nothing in the program imports this package.
 package mat
 
 import (
@@ -71,16 +69,6 @@ func (p Permutation) ApplyNew(in []uint64) []uint64 {
 	out := make([]uint64, len(in))
 	p.Apply(out, in)
 	return out
-}
-
-// ApplyBytes gathers a byte vector (BAT-compiled operands).
-func (p Permutation) ApplyBytes(out, in []uint8) {
-	if len(out) != len(p) || len(in) != len(p) {
-		panic("mat: permutation length mismatch")
-	}
-	for i, v := range p {
-		out[i] = in[v]
-	}
 }
 
 // Inverse returns p⁻¹ (the scatter form of the same reordering).
@@ -157,28 +145,4 @@ func DigitSwap(r, c int) Permutation {
 		}
 	}
 	return p
-}
-
-// Rotation returns the cyclic left-rotation by k on n elements.
-func Rotation(n, k int) Permutation {
-	p := make(Permutation, n)
-	kk := ((k % n) + n) % n
-	for i := range p {
-		p[i] = (i + kk) % n
-	}
-	return p
-}
-
-// DenseMatrix materialises p as its n×n 0/1 permutation matrix
-// (row-major), the representation MAT multiplies into parameter
-// matrices offline (§IV-B1). Exposed mainly for tests and for the
-// compiler's algebraic sanity checks — production embedding uses the
-// index form directly.
-func (p Permutation) DenseMatrix() []uint64 {
-	n := len(p)
-	m := make([]uint64, n*n)
-	for i, v := range p {
-		m[i*n+v] = 1
-	}
-	return m
 }
