@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -59,11 +60,15 @@ func TestKeyInnerProductPathsAgree(t *testing.T) {
 	run := func(lvl int) []*ring.Poly {
 		d := ct.C1.CopyNew()
 		d.Coeffs = d.Coeffs[:lvl+1]
-		b, a := tc.ev.keySwitch(d, lvl, rlk)
+		out := make([]*ring.Poly, 6)
+		for i := range out {
+			out[i] = ring.NewPoly(lvl+1, tc.p.N())
+		}
+		tc.ev.keySwitch(d, lvl, rlk, out[0], out[1], true)
 		h := tc.ev.decompose(d, lvl)
-		hb, ha := tc.ev.applyHoisted(h, nil, rlk)
-		rb, ra := tc.ev.applyHoisted(h, idx, gk)
-		return []*ring.Poly{b, a, hb, ha, rb, ra}
+		tc.ev.applyHoisted(h, nil, rlk, out[2], out[3], true)
+		tc.ev.applyHoisted(h, idx, gk, out[4], out[5], true)
+		return out
 	}
 	defer func() { tc.p.lazyKeyIP = true }()
 	for _, lvl := range []int{tc.p.MaxLevel(), 2} {
@@ -175,6 +180,66 @@ func TestEvaluatorsShareParameters(t *testing.T) {
 		}
 		if !got[w].C0.Equal(want.C0) || !got[w].C1.Equal(want.C1) {
 			t.Fatalf("evaluator %d: result differs from the serial run", w)
+		}
+	}
+}
+
+// TestKeySwitchAllocsOutputOnly holds the key-switching operators to
+// their returned ciphertext: at one worker, MulRelin, Rotate and
+// Conjugate allocate at most the returned ciphertext's bytes plus
+// 16 KiB per call, and their destination-passing forms allocate
+// nothing.
+func TestKeySwitchAllocsOutputOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; allocation counts are not steady")
+	}
+	tc := newTestContext(t, []int{1})
+	rng := rand.New(rand.NewSource(63))
+	pt, _ := tc.enc.Encode(randomSlots(rng, tc.p.Slots()))
+	ct := tc.ctr.Encrypt(pt)
+	base := tc.p.RingQP
+	defer func() { tc.p.RingQP = base }()
+	tc.p.RingQP = base.WithParallelism(1)
+	rot := tc.p.RingQP.GaloisElementForRotation(1)
+	conj := tc.p.RingQP.GaloisElementForConjugation()
+	out := tc.ev.newCiphertext(ct.Level, ct.Scale)
+	outBytes := uint64(2 * (ct.Level + 1) * tc.p.N() * 8)
+
+	for _, op := range []struct {
+		name string
+		f    func() (*Ciphertext, error)
+		into func() error
+	}{
+		{"MulRelin", func() (*Ciphertext, error) { return tc.ev.MulRelin(ct, ct) },
+			func() error { tc.ev.mulRelinInto(out, ct, ct); return nil }},
+		{"Rotate", func() (*Ciphertext, error) { return tc.ev.Rotate(ct, 1) },
+			func() error { return tc.ev.applyGaloisInto(out, ct, rot) }},
+		{"Conjugate", func() (*Ciphertext, error) { return tc.ev.Conjugate(ct) },
+			func() error { return tc.ev.applyGaloisInto(out, ct, conj) }},
+	} {
+		if _, err := op.f(); err != nil { // warm the pools and converter caches
+			t.Fatal(err)
+		}
+		const calls = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := op.f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("%s: %d bytes per call, output %d", op.name, perCall, outBytes)
+		if perCall > outBytes+16<<10 {
+			t.Errorf("%s: %d bytes per call, over the %d-byte output + 16 KiB", op.name, perCall, outBytes)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if err := op.into(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: destination-passing form allocates %.0f objects per call", op.name, n)
 		}
 	}
 }

@@ -20,73 +20,34 @@ type hoistedDecomposition struct {
 	exts  []*ring.Poly // one per digit, L+Alpha limbs
 }
 
-// decompose performs the per-ciphertext half of the key switch.
+// decompose performs the per-ciphertext half of the key switch: the
+// Step 1 phase, then per limb of Q_lvl ∪ P every digit's extension. The
+// extended digits outlive this call (they are shared across all
+// hoisted rotations), so they are real allocations, not scratch.
 func (ev *Evaluator) decompose(c1 *ring.Poly, lvl int) *hoistedDecomposition {
 	p := ev.p
-	rq := p.RingQP
-	dnum := p.NumDigits(lvl)
-
-	dCoeffS := ev.getPoly(lvl+1, false)
-	dCoeff := &dCoeffS.view
-	dCoeff.Copy(c1)
-	rq.INTT(dCoeff)
-	ev.Kc.INTTLimbs += lvl + 1
-
-	// The extended digits outlive this call (they are shared across all
-	// hoisted rotations), so they are real allocations, not scratch.
-	h := &hoistedDecomposition{level: lvl, exts: make([]*ring.Poly, 0, dnum)}
-	for j := 0; j < dnum; j++ {
-		lo, hi, ok := p.digitRange(j, lvl)
-		if !ok {
-			break
-		}
-		ext := ring.NewPoly(p.L+p.Alpha, p.N())
-		ev.modUp(ext, c1, dCoeff, lo, hi, lvl)
-		h.exts = append(h.exts, ext)
+	h := &hoistedDecomposition{level: lvl, exts: make([]*ring.Poly, p.NumDigits(lvl))}
+	for j := range h.exts {
+		h.exts[j] = ring.NewPoly(p.L+p.Alpha, p.N())
 	}
-	ev.putPoly(dCoeffS)
+	dc := ev.getPoly(lvl + 1)
+	ev.op = limbOp{lvl: lvl, d: c1, dc: &dc.view, conv: p.keySwitchConverters(lvl)}
+	ev.modUpStep1()
+	p.RingQP.ForLimbs(lvl+1+p.Alpha, func(t int) {
+		for j, ext := range h.exts {
+			dst := ext.Coeffs[ev.limb(t)]
+			copy(dst, ev.extLimb(j, t, dst))
+		}
+	})
+	ev.putPoly(dc)
 	return h
-}
-
-// applyHoisted finishes a key switch from a hoisted decomposition,
-// optionally permuting the digits by an automorphism index first
-// (τ commutes with ModUp because basis conversion is coefficient-wise).
-func (ev *Evaluator) applyHoisted(h *hoistedDecomposition, idx []int, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	p := ev.p
-	lvl := h.level
-	total := p.L + p.Alpha
-
-	acc0S := ev.getPoly(total, true)
-	acc1S := ev.getPoly(total, true)
-	tmpS := ev.getPoly(total, false)
-	acc0, acc1, tmp := &acc0S.view, &acc1S.view, &tmpS.view
-	extLimbs := append(qLimbs(lvl), p.pLimbs()...)
-	for j, ext := range h.exts {
-		src := ext
-		if idx != nil {
-			p.RingQP.ForLimbs(len(extLimbs), func(t int) {
-				i := extLimbs[t]
-				p.RingQP.AutomorphismNTTLimb(ext.Coeffs[i], tmp.Coeffs[i], idx)
-			})
-			src = tmp
-			ev.Kc.Automorph += len(extLimbs)
-		}
-		ev.keyInnerProduct(acc0, acc1, src, extLimbs, swk, j, j == len(h.exts)-1)
-	}
-	ev.putPoly(tmpS)
-	b, a := ev.modDown(acc0, acc1, lvl)
-	ev.putPoly(acc0S)
-	ev.putPoly(acc1S)
-	return b, a
 }
 
 // RotateHoisted rotates one ciphertext by several amounts, sharing the
 // digit decomposition across all of them. Output order matches ks.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) ([]*Ciphertext, error) {
-	p := ev.p
-	rq := p.RingQP
+	rq := ev.p.RingQP
 	lvl := ct.Level
-
 	h := ev.decompose(ct.C1, lvl)
 	out := make([]*Ciphertext, len(ks))
 	for i, k := range ks {
@@ -103,11 +64,13 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) ([]*Ciphertext, err
 		if err != nil {
 			return nil, err
 		}
-		ks0, ks1 := ev.applyHoisted(h, idx, &gk.SwitchingKey)
-		c0 := ev.automorphAdd(ct.C0, ks0, idx)
+		// τ(c0) into C0, then the key switch adds into it and sets C1.
+		out[i] = ev.newCiphertext(lvl, ct.Scale)
+		ev.op = limbOp{a: ct, idx: idx, out: [2]*ring.Poly{out[i].C0, out[i].C1}}
+		ev.forLimbs(lvl+1, (*Evaluator).automorphLimb)
+		ev.applyHoisted(h, idx, &gk.SwitchingKey, out[i].C0, out[i].C1, true)
 		ev.Kc.Automorph += lvl + 1
 		ev.Kc.VecAddN += lvl + 1
-		out[i] = &Ciphertext{C0: c0, C1: ks1, Level: lvl, Scale: ct.Scale}
 	}
 	return out, nil
 }

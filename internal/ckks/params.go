@@ -50,14 +50,17 @@ type Parameters struct {
 	pInvModQ []uint64 // P⁻¹ mod q_i, the ModDown scaling factor
 	// lazyKeyIP is set when max(dnum, 2)·(q_max−1)² < 2^64 over Q ∪ P,
 	// so the key-switch inner product can sum raw products across all
-	// digits and reduce once (see keyInnerProduct), and the tensor
-	// product can sum its two cross terms the same way (see tensor).
+	// digits and reduce once (see innerProductLimb), and the tensor
+	// product can sum its two cross terms the same way (see tensorLimb).
 	lazyKeyIP bool
 
-	// cacheMu guards the converter and basis caches, which evaluators
-	// and encoders sharing these parameters fill on first use.
+	// ksConv holds the key switch's converters per level, built on
+	// first use (keySwitchConverters).
+	ksConv []levelConverters
+
+	// cacheMu guards the basis cache, which encoders sharing these
+	// parameters fill on first use.
 	cacheMu    sync.Mutex
-	convCache  map[string]*rns.Converter
 	basisCache map[string]*rns.Basis
 }
 
@@ -106,7 +109,7 @@ func NewParameters(logN int, logScale uint, l, dnum int) (*Parameters, error) {
 		QPrimes:    qPrimes,
 		PPrimes:    pPrimes,
 		lazyKeyIP:  digitSumFitsWord(all, max(dnum, 2)),
-		convCache:  make(map[string]*rns.Converter),
+		ksConv:     make([]levelConverters, l),
 		basisCache: make(map[string]*rns.Basis),
 	}
 	p.bigP = big.NewInt(1)
@@ -185,11 +188,6 @@ func (p *Parameters) NumDigits(level int) int {
 func (p *Parameters) basisFor(idx []int) *rns.Basis {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
-	return p.basisForLocked(idx)
-}
-
-// basisForLocked is basisFor for a caller that holds cacheMu.
-func (p *Parameters) basisForLocked(idx []int) *rns.Basis {
 	key := fmt.Sprint(idx)
 	if b, ok := p.basisCache[key]; ok {
 		return b
@@ -203,20 +201,36 @@ func (p *Parameters) basisForLocked(idx []int) *rns.Basis {
 	return b
 }
 
-// converter returns (and caches) a BConv converter between limb-index
-// subsets. It is safe for concurrent use.
-func (p *Parameters) converter(src, dst []int) *rns.Converter {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	key := fmt.Sprint(src, "→", dst)
-	if c, ok := p.convCache[key]; ok {
-		return c
-	}
-	c, err := rns.NewConverter(p.basisForLocked(src), p.basisForLocked(dst))
+// levelConverters are the key switch's BConv converters at one level:
+// ModUp's per digit (the digit's limbs → the rest of Q_level ∪ P) and
+// ModDown's (P → Q_level).
+type levelConverters struct {
+	once sync.Once
+	up   []*rns.Converter
+	down *rns.Converter
+}
+
+// keySwitchConverters returns the converters at level, built on first
+// use. It is safe for concurrent use.
+func (p *Parameters) keySwitchConverters(level int) *levelConverters {
+	c := &p.ksConv[level]
+	c.once.Do(func() {
+		q := p.QPrimes[:level+1]
+		for j := 0; j < p.NumDigits(level); j++ {
+			lo, hi, _ := p.digitRange(j, level)
+			rest := append(append(append([]uint64{}, q[:lo]...), q[hi:]...), p.PPrimes...)
+			c.up = append(c.up, mustConverter(q[lo:hi], rest))
+		}
+		c.down = mustConverter(p.PPrimes, q)
+	})
+	return c
+}
+
+func mustConverter(from, to []uint64) *rns.Converter {
+	c, err := rns.NewConverter(rns.MustBasis(from), rns.MustBasis(to))
 	if err != nil {
 		panic(fmt.Sprintf("ckks: converter construction: %v", err))
 	}
-	p.convCache[key] = c
 	return c
 }
 
@@ -225,15 +239,6 @@ func qLimbs(level int) []int {
 	out := make([]int, level+1)
 	for i := range out {
 		out[i] = i
-	}
-	return out
-}
-
-// pLimbs returns the special limb indices [L, L+Alpha).
-func (p *Parameters) pLimbs() []int {
-	out := make([]int, p.Alpha)
-	for i := range out {
-		out[i] = p.L + i
 	}
 	return out
 }

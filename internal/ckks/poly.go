@@ -116,34 +116,23 @@ func InnerSumRotations(step, count int) []int {
 // with a level otherwise (encode at the working scale, multiply,
 // rescale).
 func (ev *Evaluator) MulByConst(ct *Ciphertext, v float64, enc *Encoder) (*Ciphertext, error) {
-	if v == math.Trunc(v) && math.Abs(v) < float64(ev.p.QPrimes[0])/2 {
-		// Integer constants embed exactly at scale 1: no level cost.
-		vals := make([]complex128, ev.p.Slots())
-		for i := range vals {
-			vals[i] = complex(v, 0)
-		}
-		pt, err := enc.EncodeAtLevel(vals, ct.Level, 1)
-		if err != nil {
-			return nil, err
-		}
-		out, err := ev.MulPlain(ct, pt)
-		if err != nil {
-			return nil, err
-		}
-		out.Scale = ct.Scale // scale 1 plaintext leaves it unchanged
-		return out, nil
-	}
 	vals := make([]complex128, ev.p.Slots())
 	for i := range vals {
 		vals[i] = complex(v, 0)
 	}
-	pt, err := enc.EncodeAtLevel(vals, ct.Level, ev.p.Scale)
+	// Integer constants embed exactly at scale 1: no level cost.
+	exact := v == math.Trunc(v) && math.Abs(v) < float64(ev.p.QPrimes[0])/2
+	scale := ev.p.Scale
+	if exact {
+		scale = 1
+	}
+	pt, err := enc.EncodeAtLevel(vals, ct.Level, scale)
 	if err != nil {
 		return nil, err
 	}
 	out, err := ev.MulPlain(ct, pt)
-	if err != nil {
-		return nil, err
+	if err != nil || exact {
+		return out, err
 	}
 	return ev.Rescale(out)
 }
