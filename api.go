@@ -517,9 +517,10 @@ type HostBenchFile = hostbench.File
 // HostBenchRunFile measures the host-side functional kernels (NTT/INTT,
 // VecMod, automorphism, matrix NTT, BAT MatMul, BConv) at a fixed size
 // and stamps the current environment — the content written to
-// BENCH_host.json. Unlike Sweep, these are real wall-clock numbers for
-// THIS machine: diff them only against a baseline recorded on
-// comparable hardware.
+// BENCH_host.json. Unlike Sweep, these are real wall-clock numbers,
+// each scaled by a reference kernel timed around it to what it takes
+// on a nominal host, so a baseline recorded on other hardware still
+// gates.
 func HostBenchRunFile() (HostBenchFile, error) { return hostbench.RunFile() }
 
 // HostBenchDiffFiles compares two host benchmark files. Wall time is

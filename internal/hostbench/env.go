@@ -92,18 +92,20 @@ type File struct {
 	Records []Record    `json:"records"`
 }
 
-// RunFile measures every gated kernel at benchN through Measure and
-// returns the committable BENCH_host.json content: a record's ns/op is
-// the best of DefaultRepeats samples, its allocs/op the count over the
-// same timed iterations.
+// RunFile measures every gated kernel at benchN through Measure, with
+// the reference kernel timed around every sample, and returns the
+// committable BENCH_host.json content: a record's ns/op is the best of
+// DefaultRepeats samples, each scaled to the nominal host by the
+// reference readings around it (see hostref.go), and its allocs/op is
+// the count over the same timed iterations.
 func RunFile() (File, error) {
-	samples, err := Measure([]int{benchN}, DefaultRepeats)
+	samples, err := measure([]int{benchN}, DefaultRepeats, newHostRef())
 	if err != nil {
 		return File{}, err
 	}
 	recs := make([]Record, len(samples))
 	for i, s := range samples {
-		recs[i] = Record{ID: s.ID, NsPerOp: s.Best(), AllocsPerOp: s.AllocsPerOp}
+		recs[i] = Record{ID: s.ID, NsPerOp: s.scaledBest(), AllocsPerOp: s.AllocsPerOp}
 	}
 	return File{Env: CurrentEnvironment(), Records: recs}, nil
 }

@@ -10,11 +10,14 @@
 //
 // One timing harness, Measure, serves both the gate and the
 // calibration harness (internal/calib): each kernel runs in batches
-// that fill a 2 ms window, DefaultRepeats times, and a record's ns/op
-// is the best batch while its allocs/op is counted over all of them.
-// Two gate policies with different strictness (DiffFiles):
+// that fill a 2 ms window, DefaultRepeats times. For the gate a
+// reference kernel is timed around every batch and the batch is scaled
+// to a nominal host by it (hostref.go), so a record's ns/op is the best
+// scaled batch and reads the same on a faster, slower or contended
+// host; its allocs/op is counted over all of them. Two gate policies
+// with different strictness (DiffFiles):
 //
-//   - ns/op is compared against a generous fractional threshold
+//   - scaled ns/op is compared against a generous fractional threshold
 //     (default 25%) because shared CI runners are noisy;
 //   - allocs/op is gated at exact zero drift: allocation counts are
 //     deterministic, so any increase is a real regression of the
@@ -32,7 +35,8 @@ import (
 	"cross/internal/rns"
 )
 
-// Record is one kernel's measurement at its fixed benchmark size.
+// Record is one kernel's measurement at its fixed benchmark size;
+// NsPerOp is scaled to the nominal host by the reference kernel.
 type Record struct {
 	ID          string  `json:"id"`
 	NsPerOp     float64 `json:"ns_per_op"`

@@ -27,6 +27,10 @@ type Sample struct {
 	// iteration divided by their number, truncated to an integer as
 	// testing.AllocsPerRun does.
 	AllocsPerOp float64 `json:"allocs_per_op"`
+
+	// scale holds each repeat's reference-kernel factor (refScale) when
+	// the sample was measured with the reference.
+	scale []float64
 }
 
 // Best returns the sample's minimum ns/op — the standard
@@ -36,6 +40,16 @@ func (s Sample) Best() float64 {
 	best := math.Inf(1)
 	for _, v := range s.Ns {
 		best = math.Min(best, v)
+	}
+	return best
+}
+
+// scaledBest is the sample's minimum ns/op after each repeat is scaled
+// by its reference reading: what the kernel takes on the nominal host.
+func (s Sample) scaledBest() float64 {
+	best := math.Inf(1)
+	for r, v := range s.Ns {
+		best = math.Min(best, v*s.scale[r])
 	}
 	return best
 }
@@ -51,6 +65,13 @@ const measureBudget = 2 * time.Millisecond
 // kernels in buildKernels order). The size-independent BAT matmul
 // rides along with the first size only.
 func Measure(sizes []int, repeats int) ([]Sample, error) {
+	return measure(sizes, repeats, nil)
+}
+
+// measure is Measure that, when ref is not nil, also times the
+// reference kernel before and after every repeat and records the
+// repeat's scale factor; the raw samples mean the same either way.
+func measure(sizes []int, repeats int, ref *hostRef) ([]Sample, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("hostbench: no sizes to measure")
 	}
@@ -68,19 +89,29 @@ func Measure(sizes []int, repeats int) ([]Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			ns := make([]float64, 0, repeats)
+			s := Sample{Kernel: k.base, ID: k.id, N: n, Ns: make([]float64, 0, repeats)}
+			if ref != nil {
+				s.scale = make([]float64, 0, repeats)
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for r := 0; r < repeats; r++ {
+				var refBefore float64
+				if ref != nil {
+					refBefore = ref.ns()
+				}
 				v, err := timeOp(k.op, iters)
 				if err != nil {
 					return nil, err
 				}
-				ns = append(ns, v)
+				s.Ns = append(s.Ns, v)
+				if ref != nil {
+					s.scale = append(s.scale, refScale(refBefore, ref.ns()))
+				}
 			}
 			runtime.ReadMemStats(&after)
-			allocs := (after.Mallocs - before.Mallocs) / uint64(iters*repeats)
-			out = append(out, Sample{Kernel: k.base, ID: k.id, N: n, Ns: ns, AllocsPerOp: float64(allocs)})
+			s.AllocsPerOp = float64((after.Mallocs - before.Mallocs) / uint64(iters*repeats))
+			out = append(out, s)
 		}
 	}
 	return out, nil

@@ -100,3 +100,37 @@ func TestRunFileRecords(t *testing.T) {
 		t.Error("RunFile did not stamp the environment")
 	}
 }
+
+// The gate's records are scaled by the reference kernel timed around
+// each repeat, while Measure's raw samples (the calibration harness's
+// input) carry no scale. A repeat on a host where the reference runs at
+// half speed counts half.
+func TestReferenceScaling(t *testing.T) {
+	if got := refScale(refNominalNs, refNominalNs); got != 1 {
+		t.Errorf("refScale at the nominal reading = %v, want 1", got)
+	}
+	if got := refScale(2*refNominalNs, 2*refNominalNs); got != 0.5 {
+		t.Errorf("refScale at twice the nominal reading = %v, want 0.5", got)
+	}
+	s := Sample{Ns: []float64{100, 150}, scale: []float64{2, 1}}
+	if got := s.scaledBest(); got != 150 {
+		t.Errorf("scaledBest = %v, want 150 (the second repeat, unscaled)", got)
+	}
+	raw, err := Measure([]int{256}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := measure([]int{256}, 2, newHostRef())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		if raw[i].scale != nil {
+			t.Errorf("%s: Measure recorded a reference scale", raw[i].ID)
+		}
+		sc := scaled[i].scale
+		if len(sc) != 2 || !(sc[0] > 0) || !(sc[1] > 0) || math.IsInf(sc[0], 0) || math.IsInf(sc[1], 0) {
+			t.Errorf("%s: reference scales %v, want two positive finite factors", scaled[i].ID, sc)
+		}
+	}
+}
