@@ -125,7 +125,7 @@ func (ev *Evaluator) switchCore(swk *SwitchingKey, out0, out1 *ring.Poly, setC1 
 	ev.modDown()
 	ev.putPoly(acc0)
 	ev.putPoly(acc1)
-	ev.op = limbOp{}
+	ev.op = limbOp{} // hold no ciphertext or key between ops
 }
 
 // innerProductLimb accumulates Σ_j ext_j ⊙ (B_j, A_j) into limb t of
