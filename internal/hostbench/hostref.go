@@ -16,8 +16,10 @@ import (
 // the program cannot move it. bench/crossperf scales its HE workloads by
 // the same kernel.
 
-// refNominalNs is what the reference reads on an uncontended 2.1 GHz
-// Xeon (the host BENCH_host.json was recorded on).
+// refNominalNs is the reading bench/crossperf takes as nominal, so both
+// scale to the same host speed. The 2-vCPU Xeon that recorded
+// BENCH_host.json reads 63–66 µs uncontended and 115–130 µs while a
+// co-tenant shares the core.
 const refNominalNs = 80_000
 
 const (
