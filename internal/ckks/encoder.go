@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/cmplx"
+	"sync"
 
 	"cross/internal/ring"
 )
@@ -29,6 +30,28 @@ type Encoder struct {
 	m        int          // 2N
 	rotGroup []int        // 5^j mod 2N
 	ksiPows  []complex128 // e^(2πi k / 2N)
+
+	// scratch recycles Encode's and Decode's throwaway buffers
+	// (*encoderScratch), so each returns its output as its only
+	// allocation; the pool keeps concurrent use safe.
+	scratch sync.Pool
+}
+
+// encoderScratch holds one call's working buffers.
+type encoderScratch struct {
+	vals   []complex128 // N/2 slots: Encode's inverse FFT
+	ints   []int64      // N rounded coefficients (Encode)
+	coeffs []float64    // N centred coefficients (Decode)
+	poly   ring.Poly    // L limbs: Decode's coefficient-domain copy
+}
+
+func (e *Encoder) getScratch() *encoderScratch {
+	if sc, ok := e.scratch.Get().(*encoderScratch); ok {
+		return sc
+	}
+	n := e.p.N()
+	return &encoderScratch{vals: make([]complex128, e.n), ints: make([]int64, n),
+		coeffs: make([]float64, n), poly: *ring.NewPoly(e.p.L, n)}
 }
 
 // NewEncoder builds the root tables for the parameter set.
@@ -132,11 +155,12 @@ func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (
 	if level < 0 || level > e.p.MaxLevel() {
 		return nil, fmt.Errorf("ckks: level %d out of range", level)
 	}
-	vals := make([]complex128, e.n)
-	copy(vals, values)
+	sc := e.getScratch()
+	defer e.scratch.Put(sc)
+	vals, ints := sc.vals, sc.ints
+	clear(vals[copy(vals, values):])
 	e.fftSpecialInv(vals)
 
-	ints := make([]int64, e.p.N())
 	var span float64 // the largest |x| rounded into ints
 	var wide []int   // coefficients of magnitude 2^63 or more
 	for k := range ints {
@@ -148,6 +172,7 @@ func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (
 		case math.IsNaN(x) || math.IsInf(x, 0):
 			return nil, fmt.Errorf("%w: coefficient %d is %v", ErrNonFinite, k, x)
 		default:
+			ints[k] = 0 // set from big.Int below
 			wide = append(wide, k)
 		}
 	}
@@ -181,10 +206,15 @@ func (e *Encoder) Encode(values []complex128) (*Plaintext, error) {
 
 // Decode recovers the complex slots from a plaintext.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
-	poly := pt.Value.CopyNew()
-	e.p.RingQP.INTT(poly)
-	coeffs := make([]float64, e.p.N())
-	e.p.basisFor(qLimbs(pt.Level)).DecodeCenteredFloat(coeffs, poly.Coeffs[:pt.Level+1])
+	sc := e.getScratch()
+	defer e.scratch.Put(sc)
+	poly := ring.Poly{Coeffs: sc.poly.Coeffs[:pt.Level+1]}
+	for i, limb := range poly.Coeffs {
+		copy(limb, pt.Value.Coeffs[i])
+	}
+	e.p.RingQP.INTT(&poly)
+	coeffs := sc.coeffs
+	e.p.decodeBasis(pt.Level).DecodeCenteredFloat(coeffs, poly.Coeffs)
 
 	vals := make([]complex128, e.n)
 	for j := range vals {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cross/internal/ring"
@@ -178,5 +180,57 @@ func TestEncodeDecodeAllocsFlat(t *testing.T) {
 	enc14, dec14 := allocs(14)
 	if enc12 != enc14 || dec12 != dec14 {
 		t.Fatalf("allocations per call: Encode %v at logN 12, %v at logN 14; Decode %v and %v", enc12, enc14, dec12, dec14)
+	}
+}
+
+// TestClientAllocsOutputOnly holds the client path to what it returns:
+// at logN 12 on one limb worker, Encode, Encrypt, Decrypt and Decode
+// each allocate at most their output's bytes plus 8 KiB per call. The
+// collector is off while they run, since a collection empties the
+// encoder's scratch pool.
+func TestClientAllocsOutputOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector, so allocation counts vary")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := MustParameters(12, 28, 6, 3)
+	p.RingQP = p.RingQP.WithParallelism(1)
+	kg := NewKeyGenerator(p, 5)
+	sk := kg.GenSecretKey()
+	enc, ctr, dec := NewEncoder(p), NewEncryptor(p, kg.GenPublicKey(sk), 6), NewDecryptor(p, sk)
+	vals := randomSlots(rand.New(rand.NewSource(10)), p.Slots())
+	pt, err := enc.Encode(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := ctr.Encrypt(pt)
+	poly := uint64(p.L * p.N() * 8)
+	for _, op := range []struct {
+		name string
+		out  uint64
+		f    func()
+	}{
+		{"Encode", poly, func() {
+			if _, err := enc.Encode(vals); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Encrypt", 2 * poly, func() { ctr.Encrypt(pt) }},
+		{"Decrypt", poly, func() { dec.Decrypt(ct) }},
+		{"Decode", uint64(p.Slots() * 16), func() { enc.Decode(pt) }},
+	} {
+		op.f() // warm the pools and the decode basis
+		const calls = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			op.f()
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("%s: %d bytes per call, output %d", op.name, perCall, op.out)
+		if perCall > op.out+8<<10 {
+			t.Errorf("%s: %d bytes per call, over the %d-byte output + 8 KiB", op.name, perCall, op.out)
+		}
 	}
 }

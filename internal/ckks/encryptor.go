@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"sync"
 
 	"cross/internal/ring"
 )
@@ -19,11 +20,16 @@ func (ct *Ciphertext) CopyNew() *Ciphertext {
 	return &Ciphertext{C0: ct.C0.CopyNew(), C1: ct.C1.CopyNew(), Level: ct.Level, Scale: ct.Scale}
 }
 
-// Encryptor encrypts plaintexts under a public key.
+// Encryptor encrypts plaintexts under a public key. Like its seeded
+// sampler, an Encryptor is not safe for concurrent use.
 type Encryptor struct {
 	p   *Parameters
 	pk  *PublicKey
 	smp *ring.Sampler
+
+	// scratch recycles the ephemeral key u (*ring.Poly, L limbs), so
+	// Encrypt allocates only the ciphertext it returns.
+	scratch sync.Pool
 }
 
 // NewEncryptor returns a seeded public-key encryptor.
@@ -39,7 +45,12 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	lvl := pt.Level
 	n := p.N()
 
-	u := ring.NewPoly(lvl+1, n)
+	full, ok := e.scratch.Get().(*ring.Poly)
+	if !ok {
+		full = ring.NewPoly(p.L, n)
+	}
+	defer e.scratch.Put(full)
+	u := &ring.Poly{Coeffs: full.Coeffs[:lvl+1]}
 	e.smp.Ternary(rq, u)
 	rq.NTT(u)
 

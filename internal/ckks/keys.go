@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"slices"
 
 	"cross/internal/ring"
 )
@@ -24,7 +25,47 @@ type PublicKey struct {
 // elsewhere) — so P·q̃_j reduces to "P mod q_i inside the block, zero
 // outside" limb-wise.
 type SwitchingKey struct {
-	B, A []*ring.Poly // indexed by digit, each with L+Alpha limbs
+	b, a []keyPoly // indexed by digit, each with L+Alpha limbs
+}
+
+// keyPoly is one switching-key polynomial over Q∪P in the NTT domain,
+// stored in 32-bit words, the paper's layout for its 28-bit residues:
+// coefficient k of limb i is lo[i][k] | hi[i][k]<<32. hi is nil unless
+// some prime of Q∪P is 2^32 or more, so every 28-bit set keeps half the
+// bytes of a 64-bit key resident and streams half per key switch.
+type keyPoly struct {
+	lo, hi [][]uint32
+}
+
+// newKeyPoly stores p in key words, with the high halves when wide.
+func newKeyPoly(p *ring.Poly, wide bool) keyPoly {
+	kp := keyPoly{lo: newWords(len(p.Coeffs), p.N())}
+	if wide {
+		kp.hi = newWords(len(p.Coeffs), p.N())
+	}
+	for i, limb := range p.Coeffs {
+		lo := kp.lo[i]
+		for k, c := range limb {
+			lo[k] = uint32(c)
+		}
+		if wide {
+			hi := kp.hi[i]
+			for k, c := range limb {
+				hi[k] = uint32(c >> 32)
+			}
+		}
+	}
+	return kp
+}
+
+// newWords allocates l limbs of n words in one backing array.
+func newWords(l, n int) [][]uint32 {
+	backing := make([]uint32, l*n)
+	limbs := make([][]uint32, l)
+	for i := range limbs {
+		limbs[i], backing = backing[:n:n], backing[n:]
+	}
+	return limbs
 }
 
 // RelinearizationKey switches s² → s.
@@ -77,21 +118,21 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 }
 
 // genSwitchingKey builds the hybrid key encrypting sPrime (NTT, L+Alpha
-// limbs) under sk.
+// limbs) under sk. Each digit is sampled into one set of full-width
+// temporaries and then narrowed into its key words.
 func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly) SwitchingKey {
 	p := kg.p
 	rq := p.RingQP
 	total := p.L + p.Alpha
 	dnum := p.NumDigits(p.MaxLevel())
-	swk := SwitchingKey{B: make([]*ring.Poly, dnum), A: make([]*ring.Poly, dnum)}
+	wide := slices.Max(rq.Primes()) >= 1<<32
+	swk := SwitchingKey{b: make([]keyPoly, dnum), a: make([]keyPoly, dnum)}
+	a, e, b := ring.NewPoly(total, p.N()), ring.NewPoly(total, p.N()), ring.NewPoly(total, p.N())
 	for j := 0; j < dnum; j++ {
-		a := ring.NewPoly(total, p.N())
 		kg.smp.Uniform(rq, a)
-		e := ring.NewPoly(total, p.N())
 		kg.smp.Gaussian(rq, e)
 		rq.NTT(e)
 
-		b := ring.NewPoly(total, p.N())
 		rq.MulCoeffs(a, sk.Value, b)
 		rq.Neg(b, b)
 		rq.Add(b, e, b)
@@ -108,7 +149,7 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly) Switch
 					m.ShoupMulFull(sPrime.Coeffs[i][k], w, ws))
 			}
 		}
-		swk.B[j], swk.A[j] = b, a
+		swk.b[j], swk.a[j] = newKeyPoly(b, wide), newKeyPoly(a, wide)
 	}
 	return swk
 }

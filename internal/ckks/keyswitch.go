@@ -128,13 +128,16 @@ func (ev *Evaluator) switchCore(swk *SwitchingKey, out0, out1 *ring.Poly, setC1 
 	ev.op = limbOp{} // hold no ciphertext or key between ops
 }
 
-// innerProductLimb accumulates Σ_j ext_j ⊙ (B_j, A_j) into limb t of
-// the accumulators, which it clears first. When the parameters allow it
+// innerProductLimb accumulates Σ_j ext_j ⊙ (b_j, a_j) into limb t of
+// the accumulators, which it clears first. Key words below 2^32 widen
+// inside the multiply-accumulate (rns.MulAddLazy32/MulAddReduce32,
+// AVX-512 with a VPMOVZXDQ load). When the parameters allow it
 // (lazyKeyIP: dnum·(q_max−1)² < 2^64) the raw products are summed
 // across digits in one word and reduced only while the last digit is
-// added (rns.MulAddLazy/MulAddReduce, AVX-512 for primes below 2^32);
-// otherwise every digit's products are reduced into [0, q). Inputs are
-// residues in [0, q), so all paths give the same outputs.
+// added; otherwise each digit's sum, below q + (q−1)² < 2^64, is reduced.
+// Keys with high words (a prime of 2^32 or more) take a per-digit
+// Barrett loop. Inputs are residues in [0, q), so all paths give the
+// same outputs.
 func (ev *Evaluator) innerProductLimb(t int) {
 	op, rq := &ev.op, ev.p.RingQP
 	i := ev.limb(t)
@@ -146,19 +149,21 @@ func (ev *Evaluator) innerProductLimb(t int) {
 	last := ev.p.NumDigits(op.lvl) - 1
 	for j := 0; j <= last; j++ {
 		e := ev.extLimb(j, t, (*sb)[:len(c0)])
-		b, a := op.swk.B[j].Coeffs[i][:len(e)], op.swk.A[j].Coeffs[i][:len(e)]
+		b, a := &op.swk.b[j], &op.swk.a[j]
 		switch {
-		case !ev.p.lazyKeyIP:
+		case b.hi != nil:
+			bLo, bHi := b.lo[i][:len(e)], b.hi[i][:len(e)]
+			aLo, aHi := a.lo[i][:len(e)], a.hi[i][:len(e)]
 			for k, x := range e {
-				c0[k] = m.AddMod(c0[k], m.BarrettMul(x, b[k]))
-				c1[k] = m.AddMod(c1[k], m.BarrettMul(x, a[k]))
+				c0[k] = m.AddMod(c0[k], m.BarrettMul(x, uint64(bHi[k])<<32|uint64(bLo[k])))
+				c1[k] = m.AddMod(c1[k], m.BarrettMul(x, uint64(aHi[k])<<32|uint64(aLo[k])))
 			}
-		case j == last:
-			rns.MulAddReduce(m, c0, e, b)
-			rns.MulAddReduce(m, c1, e, a)
+		case j == last || !ev.p.lazyKeyIP:
+			rns.MulAddReduce32(m, c0, e, b.lo[i])
+			rns.MulAddReduce32(m, c1, e, a.lo[i])
 		default:
-			rns.MulAddLazy(m, c0, e, b)
-			rns.MulAddLazy(m, c1, e, a)
+			rns.MulAddLazy32(m, c0, e, b.lo[i])
+			rns.MulAddLazy32(m, c1, e, a.lo[i])
 		}
 	}
 	rq.PutScratch(sb)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cross/internal/ring"
 )
@@ -241,5 +242,74 @@ func TestKeySwitchAllocsOutputOnly(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: destination-passing form allocates %.0f objects per call", op.name, n)
 		}
+	}
+}
+
+// TestSwitchingKeyWords pins the key-word layout: at 28 bits every key
+// limb holds 4 bytes per coefficient and no high words; at logScale 40,
+// whose primes exceed 2^32, the high words are present and carry bits.
+// Every stored word must be a residue of its limb's prime.
+func TestSwitchingKeyWords(t *testing.T) {
+	for _, tc := range []struct {
+		logScale uint
+		wide     bool
+	}{{28, false}, {40, true}} {
+		p := MustParameters(10, tc.logScale, 6, 3)
+		kg := NewKeyGenerator(p, 3)
+		rlk := kg.GenRelinearizationKey(kg.GenSecretKey())
+		var highBits uint32
+		for j, kp := range append(rlk.b, rlk.a...) {
+			if len(kp.lo) != p.L+p.Alpha || (kp.hi != nil) != tc.wide {
+				t.Fatalf("logScale %d poly %d: %d limbs, high words %v; want %d limbs, high words %v",
+					tc.logScale, j, len(kp.lo), kp.hi != nil, p.L+p.Alpha, tc.wide)
+			}
+			for i, lo := range kp.lo {
+				if bytes := len(lo) * int(unsafe.Sizeof(lo[0])); bytes != 4*p.N() {
+					t.Fatalf("logScale %d poly %d limb %d: %d bytes, want %d", tc.logScale, j, i, bytes, 4*p.N())
+				}
+				q := p.RingQP.Moduli[i].Q
+				for k, w := range lo {
+					word := uint64(w)
+					if kp.hi != nil {
+						word |= uint64(kp.hi[i][k]) << 32
+						highBits |= kp.hi[i][k]
+					}
+					if word >= q {
+						t.Fatalf("logScale %d poly %d limb %d coeff %d: %d is not below q = %d", tc.logScale, j, i, k, word, q)
+					}
+				}
+			}
+		}
+		if tc.wide && highBits == 0 {
+			t.Fatalf("logScale %d: every high word is zero", tc.logScale)
+		}
+	}
+}
+
+// TestSwitchingKeyHeap holds a relinearisation key at logN 12 to at
+// most 0.55× the bytes of the same key in 64-bit words. The key's live
+// bytes are what a garbage collection frees once the key is dropped.
+func TestSwitchingKeyHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations make live-heap readings unsteady")
+	}
+	p := MustParameters(12, 28, 6, 3)
+	kg := NewKeyGenerator(p, 4)
+	sk := kg.GenSecretKey()
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // and empty sync.Pool victim caches
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	rlk := kg.GenRelinearizationKey(sk)
+	held := live()
+	runtime.KeepAlive(rlk)
+	keyBytes := held - live()
+	wide := int64(2 * p.NumDigits(p.MaxLevel()) * (p.L + p.Alpha) * p.N() * 8)
+	t.Logf("relinearisation key: %d live bytes, %d in 64-bit words", keyBytes, wide)
+	if float64(keyBytes) > 0.55*float64(wide) {
+		t.Fatalf("relinearisation key holds %d live bytes, over 0.55 × %d", keyBytes, wide)
 	}
 }

@@ -58,10 +58,9 @@ type Parameters struct {
 	// first use (keySwitchConverters).
 	ksConv []levelConverters
 
-	// cacheMu guards the basis cache, which encoders sharing these
-	// parameters fill on first use.
-	cacheMu    sync.Mutex
-	basisCache map[string]*rns.Basis
+	// qBases holds Q_level's basis per level for Decode, built on first
+	// use (decodeBasis).
+	qBases []levelBasis
 }
 
 // NewParameters builds a parameter set. logN ≥ 3; l ≥ 1; 1 ≤ dnum ≤ l.
@@ -99,18 +98,18 @@ func NewParameters(logN int, logScale uint, l, dnum int) (*Parameters, error) {
 	// over one worker per usable processor; results do not depend on it.
 	rq = rq.WithParallelism(ring.DefaultParallelism())
 	p := &Parameters{
-		LogN:       logN,
-		LogScale:   logScale,
-		L:          l,
-		Dnum:       dnum,
-		Alpha:      alpha,
-		Scale:      math.Exp2(float64(logScale)),
-		RingQP:     rq,
-		QPrimes:    qPrimes,
-		PPrimes:    pPrimes,
-		lazyKeyIP:  digitSumFitsWord(all, max(dnum, 2)),
-		ksConv:     make([]levelConverters, l),
-		basisCache: make(map[string]*rns.Basis),
+		LogN:      logN,
+		LogScale:  logScale,
+		L:         l,
+		Dnum:      dnum,
+		Alpha:     alpha,
+		Scale:     math.Exp2(float64(logScale)),
+		RingQP:    rq,
+		QPrimes:   qPrimes,
+		PPrimes:   pPrimes,
+		lazyKeyIP: digitSumFitsWord(all, max(dnum, 2)),
+		ksConv:    make([]levelConverters, l),
+		qBases:    make([]levelBasis, l),
 	}
 	p.bigP = big.NewInt(1)
 	for _, pp := range pPrimes {
@@ -183,22 +182,18 @@ func (p *Parameters) NumDigits(level int) int {
 	return (level + p.Alpha) / p.Alpha
 }
 
-// basisFor returns (and caches) the RNS basis over a prime subset given
-// by ring limb indices. It is safe for concurrent use.
-func (p *Parameters) basisFor(idx []int) *rns.Basis {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	key := fmt.Sprint(idx)
-	if b, ok := p.basisCache[key]; ok {
-		return b
-	}
-	primes := make([]uint64, len(idx))
-	for i, id := range idx {
-		primes[i] = p.RingQP.Moduli[id].Q
-	}
-	b := rns.MustBasis(primes)
-	p.basisCache[key] = b
-	return b
+// levelBasis is one level's basis, built on first use.
+type levelBasis struct {
+	once sync.Once
+	b    *rns.Basis
+}
+
+// decodeBasis returns the basis of Q_level, built on first use. It is
+// safe for concurrent use.
+func (p *Parameters) decodeBasis(level int) *rns.Basis {
+	c := &p.qBases[level]
+	c.once.Do(func() { c.b = rns.MustBasis(p.QPrimes[:level+1]) })
+	return c.b
 }
 
 // levelConverters are the key switch's BConv converters at one level:
@@ -232,13 +227,4 @@ func mustConverter(from, to []uint64) *rns.Converter {
 		panic(fmt.Sprintf("ckks: converter construction: %v", err))
 	}
 	return c
-}
-
-// qLimbs returns the limb indices [0, level].
-func qLimbs(level int) []int {
-	out := make([]int, level+1)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

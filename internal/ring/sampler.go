@@ -9,10 +9,12 @@ import (
 // ternary secrets, and discrete-Gaussian errors (§II-A). The source is
 // an explicit seeded PRNG so that experiments are reproducible run to
 // run; the reproduction targets performance fidelity, not cryptographic
-// key generation, exactly as the paper's artifact does.
+// key generation, exactly as the paper's artifact does. A Sampler is not
+// safe for concurrent use.
 type Sampler struct {
 	rng   *rand.Rand
 	sigma float64
+	vals  []int64 // Ternary's and Gaussian's draws, reused across calls
 }
 
 // DefaultSigma is the RLWE error standard deviation used by the
@@ -42,7 +44,7 @@ func (s *Sampler) Uniform(r *Ring, p *Poly) {
 // Ternary fills p with a ternary polynomial (coefficients in {-1,0,1},
 // uniform) represented consistently across all limbs.
 func (s *Sampler) Ternary(r *Ring, p *Poly) {
-	vals := make([]int64, p.N())
+	vals := s.draws(p.N())
 	for k := range vals {
 		vals[k] = int64(s.rng.Intn(3)) - 1
 	}
@@ -52,8 +54,7 @@ func (s *Sampler) Ternary(r *Ring, p *Poly) {
 // Gaussian fills p with a rounded-Gaussian error polynomial, the same
 // small value embedded consistently in every limb.
 func (s *Sampler) Gaussian(r *Ring, p *Poly) {
-	n := p.N()
-	vals := make([]int64, n)
+	vals := s.draws(p.N())
 	bound := int64(math.Ceil(6 * s.sigma)) // 6σ tail cut, standard practice
 	for k := range vals {
 		v := int64(math.Round(s.rng.NormFloat64() * s.sigma))
@@ -66,6 +67,14 @@ func (s *Sampler) Gaussian(r *Ring, p *Poly) {
 		vals[k] = v
 	}
 	s.setSigned(r, p, vals, uint64(bound))
+}
+
+// draws returns the sampler's n-value draw buffer.
+func (s *Sampler) draws(n int) []int64 {
+	if cap(s.vals) < n {
+		s.vals = make([]int64, n)
+	}
+	return s.vals[:n]
 }
 
 // SetSigned embeds signed integers into all limbs of p: limb i holds

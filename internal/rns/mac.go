@@ -39,3 +39,32 @@ func MulAddReduce(m *modarith.Modulus, acc, x, w []uint64) {
 		acc[k] = m.Reduce(acc[k] + x[k]*w[k])
 	}
 }
+
+// MulAddLazy32 is MulAddLazy with w in 32-bit words, the form switching
+// keys take when every prime is below 2^32: each word is widened as it
+// is loaded, so the key streams at half the bytes.
+func MulAddLazy32(m *modarith.Modulus, acc, x []uint64, w []uint32) {
+	x, w = x[:len(acc)], w[:len(acc)]
+	k0 := 0
+	if vectorWord(m.Q) {
+		k0 = len(acc) &^ 7
+		mulAdd32AVX512(acc[:k0], x, w, nil)
+	}
+	for k := k0; k < len(acc); k++ {
+		acc[k] += x[k] * uint64(w[k])
+	}
+}
+
+// MulAddReduce32 is MulAddReduce with w in 32-bit words (see
+// MulAddLazy32).
+func MulAddReduce32(m *modarith.Modulus, acc, x []uint64, w []uint32) {
+	x, w = x[:len(acc)], w[:len(acc)]
+	k0 := 0
+	if vectorWord(m.Q) {
+		k0 = len(acc) &^ 7
+		mulAdd32AVX512(acc[:k0], x, w, m.WordReducer())
+	}
+	for k := k0; k < len(acc); k++ {
+		acc[k] = m.Reduce(acc[k] + x[k]*uint64(w[k]))
+	}
+}

@@ -16,3 +16,9 @@ func step2RowAVX512(out []uint64, y [][]uint64, row []uint64, r *modarith.WordRe
 //
 //go:noescape
 func mulAddAVX512(acc, x, w []uint64, r *modarith.WordReducer)
+
+// mulAdd32AVX512 is mulAddAVX512 with w in 32-bit words, zero-extended
+// to 64-bit lanes as they are loaded.
+//
+//go:noescape
+func mulAdd32AVX512(acc, x []uint64, w []uint32, r *modarith.WordReducer)

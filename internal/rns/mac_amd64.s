@@ -155,3 +155,46 @@ lazy:
 macDone:
 	VZEROUPPER
 	RET
+
+// func mulAdd32AVX512(acc, x []uint64, w []uint32, r *wordReducer)
+// VPMOVZXDQ widens eight 32-bit words of w into the 64-bit lanes
+// VPMULUDQ reads; the rest is mulAddAVX512.
+TEXT ·mulAdd32AVX512(SB), NOSPLIT, $0-80
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), DX
+	MOVQ x_base+24(FP), SI
+	MOVQ w_base+48(FP), BX
+	MOVQ r+72(FP), AX
+	SHRQ $3, DX
+	JZ   mac32Done
+	TESTQ AX, AX
+	JZ   lazy32
+	LOAD_REDUCER(AX)
+
+reduced32:
+	VPMOVZXDQ (BX), Z0
+	VPMULUDQ (SI), Z0, Z0
+	VPADDQ (DI), Z0, Z0
+	REDUCE(Z0, Z1, Z2)
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, SI
+	ADDQ $32, BX
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  reduced32
+	JMP  mac32Done
+
+lazy32:
+	VPMOVZXDQ (BX), Z0
+	VPMULUDQ (SI), Z0, Z0
+	VPADDQ (DI), Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, SI
+	ADDQ $32, BX
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  lazy32
+
+mac32Done:
+	VZEROUPPER
+	RET
