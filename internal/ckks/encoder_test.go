@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"cross/internal/ring"
@@ -231,6 +232,53 @@ func TestClientAllocsOutputOnly(t *testing.T) {
 		t.Logf("%s: %d bytes per call, output %d", op.name, perCall, op.out)
 		if perCall > op.out+8<<10 {
 			t.Errorf("%s: %d bytes per call, over the %d-byte output + 8 KiB", op.name, perCall, op.out)
+		}
+	}
+}
+
+// TestEncoderConcurrent runs Encode and Decode from several goroutines
+// on one Encoder over fresh Parameters, so they share the scratch pool
+// and fill the decode-basis cache at once (run under -race), and
+// checks each result against a serial run.
+func TestEncoderConcurrent(t *testing.T) {
+	p := MustParameters(10, 28, 6, 3)
+	enc := NewEncoder(p)
+	rng := rand.New(rand.NewSource(11))
+	const workers = 4
+	inputs := make([][]complex128, workers)
+	for w := range inputs {
+		inputs[w] = randomSlots(rng, p.Slots())
+	}
+	round := func(vals []complex128, level int) ([]complex128, error) {
+		pt, err := enc.EncodeAtLevel(vals, level, p.Scale)
+		if err != nil {
+			return nil, err
+		}
+		return enc.Decode(pt), nil
+	}
+	got := make([][]complex128, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = round(inputs[w], w%p.L)
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("goroutine %d: %v", w, errs[w])
+		}
+		want, err := round(inputs[w], w%p.L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if got[w][j] != want[j] {
+				t.Fatalf("goroutine %d slot %d: %v, serial run %v", w, j, got[w][j], want[j])
+			}
 		}
 	}
 }
