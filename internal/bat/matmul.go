@@ -21,35 +21,13 @@ type MatMulPlan struct {
 	// block [hK:(h+1)K, vK:(v+1)K] is DirectScalarBAT(A[h][v]).
 	ADense []uint8
 
-	// Scratch pools for the runtime pipeline: the chunk-stacked right
-	// operand (uint8) and the int32 partial-sum matrix. Buffers are
-	// sized for the last W seen and regrown on demand, so steady-state
-	// MulInto calls allocate nothing.
-	bPool sync.Pool // *[]uint8
-	zPool sync.Pool // *[]int32
-}
-
-// getB borrows a chunk-stack buffer of at least size bytes.
-func (p *MatMulPlan) getB(size int) *[]uint8 {
-	if b, ok := p.bPool.Get().(*[]uint8); ok && cap(*b) >= size {
-		*b = (*b)[:size]
-		return b
-	}
-	b := make([]uint8, size)
-	return &b
-}
-
-// getZ borrows a zeroed partial-sum buffer of at least size entries.
-func (p *MatMulPlan) getZ(size int) *[]int32 {
-	if z, ok := p.zPool.Get().(*[]int32); ok && cap(*z) >= size {
-		*z = (*z)[:size]
-		for i := range *z {
-			(*z)[i] = 0
-		}
-		return z
-	}
-	z := make([]int32, size)
-	return &z
+	// mu guards the runtime pipeline's buffers, which MulInto owns for
+	// the whole call: the chunk-stacked right operand (uint8) and the
+	// int32 partial-sum matrix. They grow only when a call needs more
+	// than they hold, so steady-state MulInto calls allocate nothing.
+	mu   sync.Mutex
+	bBuf []uint8
+	zBuf []int32
 }
 
 // OfflineCompileLeft compiles the pre-known left matrix A (flat H×V
@@ -179,9 +157,9 @@ func (p *MatMulPlan) Mul(b []uint64, w int) ([]uint64, error) {
 }
 
 // MulInto is Mul with a caller-provided destination (len H·W) and all
-// intermediates drawn from the plan's scratch pools: the steady state
-// performs zero allocations. workers < 1 is clamped to the serial
-// path, matching MulParallel.
+// intermediates in the plan's own buffers: the steady state performs
+// zero allocations. Concurrent calls on one plan run one at a time.
+// workers < 1 is clamped to the serial path, matching MulParallel.
 func (p *MatMulPlan) MulInto(dst []uint64, b []uint64, w, workers int) error {
 	if workers < 1 {
 		workers = 1
@@ -196,25 +174,30 @@ func (p *MatMulPlan) MulInto(dst []uint64, b []uint64, w, workers int) error {
 		return fmt.Errorf("bat: partial sums need %d bits, exceeding the 32-bit MXU accumulator", p.psumBits())
 	}
 	kh, kv := p.K*p.H, p.K*p.V
-	bb := p.getB(kv * w)
-	p.compileRightInto(*bb, b, w)
-	zz := p.getZ(kh * w)
-	z := *zz
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cap(p.bBuf) < kv*w {
+		p.bBuf = make([]uint8, kv*w)
+	}
+	if cap(p.zBuf) < kh*w {
+		p.zBuf = make([]int32, kh*w)
+	}
+	bd, z := p.bBuf[:kv*w], p.zBuf[:kh*w]
+	p.compileRightInto(bd, b, w)
+	clear(z)
 	if workers == 1 {
 		// Serial fast path: no range slices, no goroutine closures —
 		// the steady state stays allocation-free.
-		p.matMulRows(*bb, w, 0, kh, z)
+		p.matMulRows(bd, w, 0, kh, z)
 		p.mergeReduceRows(z, w, 0, p.H, dst)
 	} else {
 		runRanges(rowRanges(kh, workers), func(start, end int) {
-			p.matMulRows(*bb, w, start, end, z)
+			p.matMulRows(bd, w, start, end, z)
 		})
 		runRanges(rowRanges(p.H, workers), func(start, end int) {
 			p.mergeReduceRows(z, w, start, end, dst)
 		})
 	}
-	p.bPool.Put(bb)
-	p.zPool.Put(zz)
 	return nil
 }
 

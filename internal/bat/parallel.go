@@ -89,8 +89,8 @@ func (p *MatMulPlan) MergeReduceParallel(z []int32, w, workers int) []uint64 {
 // goroutines. Worker counts below 1 (0, negatives) are invalid and
 // clamp to the serial path rather than silently misbehaving; the
 // result is bit-identical to Mul for every worker count. Intermediates
-// come from the plan's scratch pools — only the returned H×W result is
-// a fresh allocation (use MulInto to avoid even that).
+// live in the plan's own buffers — only the returned H×W result is a
+// fresh allocation (use MulInto to avoid even that).
 func (p *MatMulPlan) MulParallel(b []uint64, w, workers int) ([]uint64, error) {
 	if workers < 1 {
 		workers = 1

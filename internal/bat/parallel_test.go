@@ -121,12 +121,10 @@ func TestMulParallelClampsInvalidWorkers(t *testing.T) {
 	}
 }
 
-// TestMulIntoZeroAllocsSteadyState pins the pooled pipeline's
-// allocation-free contract (after one warmup to populate the pools).
+// TestMulIntoZeroAllocsSteadyState pins the pipeline's allocation-free
+// contract: after one warmup sizes the plan's buffers, MulInto
+// allocates nothing, also on the first call after two collections.
 func TestMulIntoZeroAllocsSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; pooled paths cannot hold 0 allocs/op")
-	}
 	m := modarith.MustModulus(268369921)
 	rng := rand.New(rand.NewSource(14))
 	h, v, w := 16, 16, 16
@@ -152,6 +150,20 @@ func TestMulIntoZeroAllocsSteadyState(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("MulInto allocates %.2f/op, want 0", avg)
+	}
+	// The first call after two collections, on one P as in AllocsPerRun.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = plan.MulInto(dst, x, w, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("MulInto allocates %d objects after two collections, want 0", n)
 	}
 }
 

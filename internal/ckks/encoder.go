@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 	"math/cmplx"
-	"sync"
 
 	"cross/internal/ring"
 )
@@ -31,10 +30,10 @@ type Encoder struct {
 	rotGroup []int        // 5^j mod 2N
 	ksiPows  []complex128 // e^(2πi k / 2N)
 
-	// scratch recycles Encode's and Decode's throwaway buffers
-	// (*encoderScratch), so each returns its output as its only
-	// allocation; the pool keeps concurrent use safe.
-	scratch sync.Pool
+	// scratch holds Encode's and Decode's throwaway buffers, so each
+	// returns its output as its only allocation; one set per concurrent
+	// call keeps an Encoder safe for concurrent use.
+	scratch ring.FreeList[*encoderScratch]
 }
 
 // encoderScratch holds one call's working buffers.
@@ -42,16 +41,15 @@ type encoderScratch struct {
 	vals   []complex128 // N/2 slots: Encode's inverse FFT
 	ints   []int64      // N rounded coefficients (Encode)
 	coeffs []float64    // N centred coefficients (Decode)
-	poly   ring.Poly    // L limbs: Decode's coefficient-domain copy
+	poly   ring.Poly    // Decode's coefficient-domain copy (arena limbs)
 }
 
 func (e *Encoder) getScratch() *encoderScratch {
-	if sc, ok := e.scratch.Get().(*encoderScratch); ok {
+	if sc, ok := e.scratch.Get(); ok {
 		return sc
 	}
 	n := e.p.N()
-	return &encoderScratch{vals: make([]complex128, e.n), ints: make([]int64, n),
-		coeffs: make([]float64, n), poly: *ring.NewPoly(e.p.L, n)}
+	return &encoderScratch{vals: make([]complex128, e.n), ints: make([]int64, n), coeffs: make([]float64, n)}
 }
 
 // NewEncoder builds the root tables for the parameter set.
@@ -208,11 +206,13 @@ func (e *Encoder) Encode(values []complex128) (*Plaintext, error) {
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
-	poly := ring.Poly{Coeffs: sc.poly.Coeffs[:pt.Level+1]}
+	rq, poly := e.p.RingQP, &sc.poly
+	rq.BorrowPoly(poly, pt.Level+1)
+	defer rq.ReturnPoly(poly)
 	for i, limb := range poly.Coeffs {
 		copy(limb, pt.Value.Coeffs[i])
 	}
-	e.p.RingQP.INTT(&poly)
+	rq.INTT(poly)
 	coeffs := sc.coeffs
 	e.p.decodeBasis(pt.Level).DecodeCenteredFloat(coeffs, poly.Coeffs)
 

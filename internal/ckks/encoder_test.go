@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -157,9 +156,6 @@ func FuzzEncodeWordVsBig(f *testing.F) {
 // ring runs on one limb worker, since a parallel NTT's helper
 // goroutines allocate only when none is free to reuse.
 func TestEncodeDecodeAllocsFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector, so allocation counts vary")
-	}
 	allocs := func(logN int) (enc, dec float64) {
 		p := MustParameters(logN, 28, 4, 2)
 		p.RingQP = p.RingQP.WithParallelism(1)
@@ -186,14 +182,9 @@ func TestEncodeDecodeAllocsFlat(t *testing.T) {
 
 // TestClientAllocsOutputOnly holds the client path to what it returns:
 // at logN 12 on one limb worker, Encode, Encrypt, Decrypt and Decode
-// each allocate at most their output's bytes plus 8 KiB per call. The
-// collector is off while they run, since a collection empties the
-// encoder's scratch pool.
+// each allocate at most their output's bytes plus 8 KiB per call, in
+// the steady state and on the first call after two collections.
 func TestClientAllocsOutputOnly(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector, so allocation counts vary")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p := MustParameters(12, 28, 6, 3)
 	p.RingQP = p.RingQP.WithParallelism(1)
 	kg := NewKeyGenerator(p, 5)
@@ -220,7 +211,7 @@ func TestClientAllocsOutputOnly(t *testing.T) {
 		{"Decrypt", poly, func() { dec.Decrypt(ct) }},
 		{"Decode", uint64(p.Slots() * 16), func() { enc.Decode(pt) }},
 	} {
-		op.f() // warm the pools and the decode basis
+		op.f() // warm the scratch buffers and the decode basis
 		const calls = 10
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -233,11 +224,30 @@ func TestClientAllocsOutputOnly(t *testing.T) {
 		if perCall > op.out+8<<10 {
 			t.Errorf("%s: %d bytes per call, over the %d-byte output + 8 KiB", op.name, perCall, op.out)
 		}
+		if _, bytes := allocsAfterGC(op.f); bytes > op.out+8<<10 {
+			t.Errorf("%s: %d bytes after two collections, over the %d-byte output + 8 KiB", op.name, bytes, op.out)
+		}
 	}
 }
 
+// allocsAfterGC runs f once right after two garbage collections and
+// returns the heap objects and bytes that call allocated: scratch memory
+// that a collection could drop would be allocated again here. Like
+// testing.AllocsPerRun it runs on one P, so that no other goroutine's
+// allocations are counted.
+func allocsAfterGC(f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
 // TestEncoderConcurrent runs Encode and Decode from several goroutines
-// on one Encoder over fresh Parameters, so they share the scratch pool
+// on one Encoder over fresh Parameters, so they share its scratch list
 // and fill the decode-basis cache at once (run under -race), and
 // checks each result against a serial run.
 func TestEncoderConcurrent(t *testing.T) {

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"sync"
 
 	"cross/internal/ring"
 )
@@ -27,9 +26,9 @@ type Encryptor struct {
 	pk  *PublicKey
 	smp *ring.Sampler
 
-	// scratch recycles the ephemeral key u (*ring.Poly, L limbs), so
-	// Encrypt allocates only the ciphertext it returns.
-	scratch sync.Pool
+	// u is the ephemeral key; its limbs are borrowed from the ring's
+	// arena for one Encrypt, which so allocates only its ciphertext.
+	u ring.Poly
 }
 
 // NewEncryptor returns a seeded public-key encryptor.
@@ -45,12 +44,9 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	lvl := pt.Level
 	n := p.N()
 
-	full, ok := e.scratch.Get().(*ring.Poly)
-	if !ok {
-		full = ring.NewPoly(p.L, n)
-	}
-	defer e.scratch.Put(full)
-	u := &ring.Poly{Coeffs: full.Coeffs[:lvl+1]}
+	u := &e.u
+	rq.BorrowPoly(u, lvl+1)
+	defer rq.ReturnPoly(u)
 	e.smp.Ternary(rq, u)
 	rq.NTT(u)
 

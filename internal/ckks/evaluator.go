@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"sync"
 
 	"cross/internal/ring"
 )
@@ -29,35 +28,16 @@ type Evaluator struct {
 	gks map[uint64]*GaloisKey
 	Kc  KernelCounters
 
-	// scratch recycles full-width (L+Alpha limb) polynomials for the
-	// key switch's intermediates (its input, the coefficient-domain
-	// digits, the accumulators), so an operator allocates only its
-	// returned ciphertext.
-	scratch sync.Pool // *polyScratch
+	// The key switch's intermediates: its input d, d's coefficient-
+	// domain digits dc and the accumulators over Q ∪ P. Their limbs are
+	// borrowed from the ring's arena for one operator and returned, so
+	// an operator allocates only its returned ciphertext.
+	d, dc ring.Poly
+	acc   [2]ring.Poly
 
 	op  limbOp    // operands of the limb phase in flight (forLimbs)
 	run func(int) // runs op.task; bound once in NewEvaluator
 }
-
-// polyScratch is a pooled full-width polynomial plus a truncated view
-// of it; the view's limb count is set per borrow.
-type polyScratch struct {
-	full *ring.Poly
-	view ring.Poly
-}
-
-// getPoly borrows a polynomial with the given limb count; its contents
-// are undefined and the caller must overwrite before reading.
-func (ev *Evaluator) getPoly(limbs int) *polyScratch {
-	sp, ok := ev.scratch.Get().(*polyScratch)
-	if !ok {
-		sp = &polyScratch{full: ring.NewPoly(ev.p.L+ev.p.Alpha, ev.p.N())}
-	}
-	sp.view.Coeffs = sp.full.Coeffs[:limbs]
-	return sp
-}
-
-func (ev *Evaluator) putPoly(sp *polyScratch) { ev.scratch.Put(sp) }
 
 // NewEvaluator builds an evaluator; rlk and gks may be nil when the
 // corresponding operators are unused.
@@ -143,14 +123,14 @@ func (ev *Evaluator) MulRelin(ct1, ct2 *Ciphertext) (*Ciphertext, error) {
 // level: the tensor product writes (d0, d1) into out, one limb per
 // task, and the key switch of d2 adds into both.
 func (ev *Evaluator) mulRelinInto(out, ct1, ct2 *Ciphertext) {
-	lvl := ct1.Level
-	d2 := ev.getPoly(lvl + 1)
-	ev.op = limbOp{a: ct1, b: ct2, d: &d2.view, out: [2]*ring.Poly{out.C0, out.C1}}
+	lvl, rq := ct1.Level, ev.p.RingQP
+	rq.BorrowPoly(&ev.d, lvl+1)
+	ev.op = limbOp{a: ct1, b: ct2, d: &ev.d, out: [2]*ring.Poly{out.C0, out.C1}}
 	ev.forLimbs(lvl+1, (*Evaluator).tensorLimb)
 	ev.Kc.VecMulN += 4 * (lvl + 1)
 	ev.Kc.VecAddN += lvl + 1
-	ev.keySwitch(&d2.view, lvl, &ev.rlk.SwitchingKey, out.C0, out.C1, false)
-	ev.putPoly(d2)
+	ev.keySwitch(&ev.d, lvl, &ev.rlk.SwitchingKey, out.C0, out.C1, false)
+	rq.ReturnPoly(&ev.d)
 	ev.Kc.VecAddN += 2 * (lvl + 1)
 }
 
@@ -177,10 +157,9 @@ func (ev *Evaluator) rescale(c0, c1 *ring.Poly, lvl int) (*ring.Poly, *ring.Poly
 	qTop := ev.p.QPrimes[lvl]
 
 	in := [2]*ring.Poly{c0, c1}
-	tb0, tb1 := rq.GetScratch(), rq.GetScratch()
-	defer rq.PutScratch(tb0)
-	defer rq.PutScratch(tb1)
-	tops := [2][]uint64{(*tb0)[:n], (*tb1)[:n]}
+	tops := [2][]uint64{rq.GetScratch()[:n], rq.GetScratch()[:n]}
+	defer rq.PutScratch(tops[0])
+	defer rq.PutScratch(tops[1])
 	for h, top := range tops {
 		copy(top, in[h].Coeffs[lvl])
 		rq.INTTLimb(lvl, top)
@@ -225,7 +204,7 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) 
 }
 
 // applyGaloisInto sets out = τ_g(ct), a ciphertext at ct's level: one
-// phase writes τ(c0) into out's C0 and τ(c1) into scratch, one limb per
+// phase writes τ(c0) into out's C0 and τ(c1) into ev.d, one limb per
 // task; the key switch of τ(c1) then adds into C0 and sets C1.
 func (ev *Evaluator) applyGaloisInto(out, ct *Ciphertext, g uint64) error {
 	gk, ok := ev.gks[g]
@@ -238,12 +217,12 @@ func (ev *Evaluator) applyGaloisInto(out, ct *Ciphertext, g uint64) error {
 	if err != nil {
 		return err
 	}
-	lvl := ct.Level
-	c1 := ev.getPoly(lvl + 1)
-	ev.op = limbOp{a: ct, idx: idx, d: &c1.view, out: [2]*ring.Poly{out.C0, out.C1}}
+	lvl, rq := ct.Level, ev.p.RingQP
+	rq.BorrowPoly(&ev.d, lvl+1)
+	ev.op = limbOp{a: ct, idx: idx, d: &ev.d, out: [2]*ring.Poly{out.C0, out.C1}}
 	ev.forLimbs(lvl+1, (*Evaluator).automorphLimb)
-	ev.keySwitch(&c1.view, lvl, &gk.SwitchingKey, out.C0, out.C1, true)
-	ev.putPoly(c1)
+	ev.keySwitch(&ev.d, lvl, &gk.SwitchingKey, out.C0, out.C1, true)
+	rq.ReturnPoly(&ev.d)
 	ev.Kc.Automorph += 2 * (lvl + 1)
 	ev.Kc.VecAddN += lvl + 1
 	return nil

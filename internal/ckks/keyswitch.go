@@ -10,16 +10,16 @@ import (
 // method expressions reading it, and Evaluator.run is bound once per
 // evaluator, so a phase allocates nothing.
 type limbOp struct {
-	task     func(ev *Evaluator, t int)
-	lvl      int
-	a, b     *Ciphertext // tensor operands; a is also the ciphertext rotated
-	idx      []int       // automorphism slot table, or nil
-	d, dc    *ring.Poly  // key-switch input (NTT domain) and its Step 1 output
-	exts     []*ring.Poly
-	swk      *SwitchingKey
-	conv     *levelConverters
-	acc, out [2]*ring.Poly
-	setC1    bool // ModDown sets out[1] instead of adding into it
+	task  func(ev *Evaluator, t int)
+	lvl   int
+	a, b  *Ciphertext // tensor operands; a is also the ciphertext rotated
+	idx   []int       // automorphism slot table, or nil
+	d     *ring.Poly  // key-switch input (NTT domain)
+	exts  []*ring.Poly
+	swk   *SwitchingKey
+	conv  *levelConverters
+	out   [2]*ring.Poly
+	setC1 bool // ModDown sets out[1] instead of adding into it
 }
 
 // forLimbs runs task(ev, 0..n-1) over the ring's workers with ev.op
@@ -47,11 +47,11 @@ func (ev *Evaluator) limb(t int) int {
 // destination. The hoisted key switch (applyHoisted) shares this core
 // and differs only in where a digit's extended limb comes from.
 func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey, out0, out1 *ring.Poly, setC1 bool) {
-	dc := ev.getPoly(lvl + 1)
-	ev.op = limbOp{lvl: lvl, d: d, dc: &dc.view, conv: ev.p.keySwitchConverters(lvl)}
+	ev.p.RingQP.BorrowPoly(&ev.dc, lvl+1)
+	ev.op = limbOp{lvl: lvl, d: d, conv: ev.p.keySwitchConverters(lvl)}
 	ev.modUpStep1()
 	ev.switchCore(swk, out0, out1, setC1)
-	ev.putPoly(dc)
+	ev.p.RingQP.ReturnPoly(&ev.dc)
 }
 
 // applyHoisted is keySwitch from a hoisted decomposition, its digits
@@ -65,13 +65,13 @@ func (ev *Evaluator) applyHoisted(h *hoistedDecomposition, idx []int, swk *Switc
 	ev.switchCore(swk, out0, out1, setC1)
 }
 
-// modUpStep1 moves d's limbs to the coefficient domain (ev.op.dc) and
+// modUpStep1 moves d's limbs to the coefficient domain (ev.dc) and
 // runs each digit's BConv Step 1 on them in place, one source limb per
 // task.
 func (ev *Evaluator) modUpStep1() {
 	ev.forLimbs(ev.op.lvl+1, func(ev *Evaluator, s int) {
 		op, alpha := &ev.op, ev.p.Alpha
-		y := op.dc.Coeffs[s]
+		y := ev.dc.Coeffs[s]
 		copy(y, op.d.Coeffs[s])
 		ev.p.RingQP.INTTLimb(s, y)
 		op.conv.up[s/alpha].Step1Limb(s%alpha, y, y)
@@ -105,26 +105,30 @@ func (ev *Evaluator) extLimb(j, t int, buf []uint64) []uint64 {
 	if t >= hi {
 		row -= hi - lo
 	}
-	op.conv.up[j].Step2Row(row, buf, op.dc.Coeffs[lo:hi])
+	op.conv.up[j].Step2Row(row, buf, ev.dc.Coeffs[lo:hi])
 	rq.NTTLimb(i, buf)
 	return buf
 }
 
 // switchCore runs the key inner product over Q_lvl ∪ P, one limb per
-// task, into pooled accumulators, then ModDown into (out0, out1).
+// task, into the accumulators ev.acc (indexed by ring limb, so they span
+// all of Q ∪ P), then ModDown into (out0, out1).
 func (ev *Evaluator) switchCore(swk *SwitchingKey, out0, out1 *ring.Poly, setC1 bool) {
-	total := ev.p.L + ev.p.Alpha
-	acc0, acc1 := ev.getPoly(total), ev.getPoly(total)
+	rq := ev.p.RingQP
+	for h := range ev.acc {
+		rq.BorrowPoly(&ev.acc[h], ev.p.L+ev.p.Alpha)
+	}
 	op := &ev.op
-	op.swk, op.acc, op.out, op.setC1 = swk, [2]*ring.Poly{&acc0.view, &acc1.view}, [2]*ring.Poly{out0, out1}, setC1
+	op.swk, op.out, op.setC1 = swk, [2]*ring.Poly{out0, out1}, setC1
 	n := op.lvl + 1 + ev.p.Alpha
 	ev.forLimbs(n, (*Evaluator).innerProductLimb)
 	dnum := ev.p.NumDigits(op.lvl)
 	ev.Kc.VecMulN += 2 * n * dnum
 	ev.Kc.VecAddN += 2 * n * dnum
 	ev.modDown()
-	ev.putPoly(acc0)
-	ev.putPoly(acc1)
+	for h := range ev.acc {
+		rq.ReturnPoly(&ev.acc[h])
+	}
 	ev.op = limbOp{} // hold no ciphertext or key between ops
 }
 
@@ -142,13 +146,13 @@ func (ev *Evaluator) innerProductLimb(t int) {
 	op, rq := &ev.op, ev.p.RingQP
 	i := ev.limb(t)
 	m := rq.Moduli[i]
-	c0, c1 := op.acc[0].Coeffs[i], op.acc[1].Coeffs[i]
+	c0, c1 := ev.acc[0].Coeffs[i], ev.acc[1].Coeffs[i]
 	clear(c0)
 	clear(c1)
-	sb := rq.GetScratch()
+	buf := rq.GetScratch()[:len(c0)]
 	last := ev.p.NumDigits(op.lvl) - 1
 	for j := 0; j <= last; j++ {
-		e := ev.extLimb(j, t, (*sb)[:len(c0)])
+		e := ev.extLimb(j, t, buf)
 		b, a := &op.swk.b[j], &op.swk.a[j]
 		switch {
 		case b.hi != nil:
@@ -166,7 +170,7 @@ func (ev *Evaluator) innerProductLimb(t int) {
 			rns.MulAddLazy32(m, c1, e, a.lo[i])
 		}
 	}
-	rq.PutScratch(sb)
+	rq.PutScratch(buf)
 }
 
 // modDown divides both accumulators over Q_lvl ∪ P by P: INTT the
@@ -179,7 +183,7 @@ func (ev *Evaluator) modDown() {
 	alpha, q := p.Alpha, ev.op.lvl+1
 	ev.forLimbs(2*alpha, func(ev *Evaluator, t int) {
 		si := t % ev.p.Alpha
-		y := ev.op.acc[t/ev.p.Alpha].Coeffs[ev.p.L+si]
+		y := ev.acc[t/ev.p.Alpha].Coeffs[ev.p.L+si]
 		ev.p.RingQP.INTTLimb(ev.p.L+si, y)
 		ev.op.conv.down.Step1Limb(si, y, y)
 	})
@@ -198,19 +202,18 @@ func (ev *Evaluator) modDownLimb(t int) {
 	m := p.RingQP.Moduli[i]
 	dst := op.out[h].Coeffs[i]
 	res := dst
-	var sb *[]uint64
-	if h == 0 || !op.setC1 {
-		sb = p.RingQP.GetScratch()
-		res = (*sb)[:len(dst)]
+	add := h == 0 || !op.setC1
+	if add {
+		res = p.RingQP.GetScratch()[:len(dst)]
 	}
-	acc := op.acc[h]
+	acc := &ev.acc[h]
 	op.conv.down.Step2Row(i, res, acc.Coeffs[p.L:p.L+p.Alpha])
 	p.RingQP.NTTLimb(i, res)
 	inv := p.PInvModQ(i)
 	m.VecSubScalarMulModShoup(res, acc.Coeffs[i], res, inv, m.ShoupPrecompute(inv))
-	if sb != nil {
+	if add {
 		m.VecAddMod(dst, dst, res)
-		p.RingQP.PutScratch(sb)
+		p.RingQP.PutScratch(res)
 	}
 }
 

@@ -189,11 +189,8 @@ func TestEvaluatorsShareParameters(t *testing.T) {
 // their returned ciphertext: at one worker, MulRelin, Rotate and
 // Conjugate allocate at most the returned ciphertext's bytes plus
 // 16 KiB per call, and their destination-passing forms allocate
-// nothing.
+// nothing, also on the first call after two collections.
 func TestKeySwitchAllocsOutputOnly(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; allocation counts are not steady")
-	}
 	tc := newTestContext(t, []int{1})
 	rng := rand.New(rand.NewSource(63))
 	pt, _ := tc.enc.Encode(randomSlots(rng, tc.p.Slots()))
@@ -218,7 +215,7 @@ func TestKeySwitchAllocsOutputOnly(t *testing.T) {
 		{"Conjugate", func() (*Ciphertext, error) { return tc.ev.Conjugate(ct) },
 			func() error { return tc.ev.applyGaloisInto(out, ct, conj) }},
 	} {
-		if _, err := op.f(); err != nil { // warm the pools and converter caches
+		if _, err := op.f(); err != nil { // warm the arena and converter caches
 			t.Fatal(err)
 		}
 		const calls = 10
@@ -241,6 +238,13 @@ func TestKeySwitchAllocsOutputOnly(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("%s: destination-passing form allocates %.0f objects per call", op.name, n)
+		}
+		if n, _ := allocsAfterGC(func() {
+			if err := op.into(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: destination-passing form allocates %d objects after two collections", op.name, n)
 		}
 	}
 }
@@ -290,16 +294,12 @@ func TestSwitchingKeyWords(t *testing.T) {
 // most 0.55× the bytes of the same key in 64-bit words. The key's live
 // bytes are what a garbage collection frees once the key is dropped.
 func TestSwitchingKeyHeap(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's allocations make live-heap readings unsteady")
-	}
 	p := MustParameters(12, 28, 6, 3)
 	kg := NewKeyGenerator(p, 4)
 	sk := kg.GenSecretKey()
 	live := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
-		runtime.GC() // and empty sync.Pool victim caches
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}

@@ -30,8 +30,8 @@ func (ev *Evaluator) decompose(c1 *ring.Poly, lvl int) *hoistedDecomposition {
 	for j := range h.exts {
 		h.exts[j] = ring.NewPoly(p.L+p.Alpha, p.N())
 	}
-	dc := ev.getPoly(lvl + 1)
-	ev.op = limbOp{lvl: lvl, d: c1, dc: &dc.view, conv: p.keySwitchConverters(lvl)}
+	p.RingQP.BorrowPoly(&ev.dc, lvl+1)
+	ev.op = limbOp{lvl: lvl, d: c1, conv: p.keySwitchConverters(lvl)}
 	ev.modUpStep1()
 	p.RingQP.ForLimbs(lvl+1+p.Alpha, func(t int) {
 		for j, ext := range h.exts {
@@ -39,7 +39,7 @@ func (ev *Evaluator) decompose(c1 *ring.Poly, lvl int) *hoistedDecomposition {
 			copy(dst, ev.extLimb(j, t, dst))
 		}
 	})
-	ev.putPoly(dc)
+	p.RingQP.ReturnPoly(&ev.dc)
 	return h
 }
 

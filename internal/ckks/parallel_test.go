@@ -90,9 +90,6 @@ func TestWorkerCountBitExact(t *testing.T) {
 // workers MulRelin, Rotate and Rescale allocate at most 1.25× their
 // serial count per operation.
 func TestParallelAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; allocation counts are not steady")
-	}
 	tc := newTestContext(t, []int{1})
 	rng := rand.New(rand.NewSource(71))
 	pt, _ := tc.enc.Encode(randomSlots(rng, tc.p.Slots()))
@@ -115,7 +112,7 @@ func TestParallelAllocsBounded(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run() // warm the scratch pools
+			run() // warm the arena
 			return testing.AllocsPerRun(20, run)
 		}
 		serial, parallel := allocs(1), allocs(2)

@@ -112,9 +112,8 @@ func (ex *NTTExecutor) ForwardLimbInto(i int, in, out []uint64) error {
 	}
 
 	// Step 1: A = T1 @ X with X the C×R reshape of the input.
-	ab := ex.Ring.GetScratch()
-	defer ex.Ring.PutScratch(ab)
-	a := (*ab)[:c*r]
+	a := ex.Ring.GetScratch()[:c*r]
+	defer ex.Ring.PutScratch(a)
 	if err := lm.step1.MulInto(a, in, r, 1); err != nil {
 		return err
 	}
@@ -123,9 +122,8 @@ func (ex *NTTExecutor) ForwardLimbInto(i int, in, out []uint64) error {
 	// Step 3: Y = Ã @ T3 evaluated as Yᵀ = T3ᵀ @ Ãᵀ (MAT transpose
 	// identity; the "transpose" of operands is a compile-time reindex,
 	// not a runtime shuffle — we simply read Ã column-major).
-	atb := ex.Ring.GetScratch()
-	defer ex.Ring.PutScratch(atb)
-	aT := (*atb)[:c*r]
+	aT := ex.Ring.GetScratch()[:c*r]
+	defer ex.Ring.PutScratch(aT)
 	transposeFlatInto(aT, a, c, r)
 	yT := a // step-1 buffer is free again after the transpose
 	if err := lm.step3.MulInto(yT, aT, c, 1); err != nil {

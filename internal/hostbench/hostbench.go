@@ -128,7 +128,7 @@ func buildKernels(n int, withBAT bool) ([]kernel, error) {
 		add("bat_matmul", "64x64x64", func() error { return bplan.MulInto(bdst, bx, 64, 1) })
 	}
 
-	// BConv step 1+2 through the pooled converter (ModUp shape L=2→2).
+	// BConv step 1+2 through the converter's own Step 1 matrix (ModUp shape L=2→2).
 	convPrimes, err := modarith.GenerateNTTPrimes(29, uint64(n), 4)
 	if err != nil {
 		return nil, err

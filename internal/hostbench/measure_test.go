@@ -77,8 +77,7 @@ func TestMeasureRejectsBadSizes(t *testing.T) {
 
 // RunFile's records are the historical kernel set at benchN, each with
 // a positive best-of-repeats ns/op and a whole allocs/op count (the
-// kernels' zero-allocation checks live with the kernels: the race
-// detector's sync.Pool drops make a count here nonzero).
+// kernels' zero-allocation checks live with the kernels).
 func TestRunFileRecords(t *testing.T) {
 	f, err := RunFile()
 	if err != nil {

@@ -71,7 +71,7 @@ func BenchmarkINTTStrict(b *testing.B) {
 	}
 }
 
-// BenchmarkMatNTTForward times the 3-step matrix NTT with the pooled
+// BenchmarkMatNTTForward times the 3-step matrix NTT with the ring's
 // scratch arena (steady state must not allocate).
 func BenchmarkMatNTTForward(b *testing.B) {
 	rg, data := benchRing(b)

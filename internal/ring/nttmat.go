@@ -233,15 +233,14 @@ func (p *MatNTTPlan) ForwardLimb(i int, in, out []uint64) {
 	lm := p.limbs[i]
 	r, c := p.R, p.C
 	ar := p.ring.scratch
-	tb := p.ring.GetScratch()
-	tmp := (*tb)[:c*r]
+	tmp := ar.get()[:c*r]
 	// Step 1: A = T1 @ X, X[cc][rr] = in[cc·R+rr].
 	matMulConstLeft(lm.m, lm.t1, lm.t1S, c, c, in, r, tmp, ar)
 	// Step 2: A ⊙ TW (VPU-mapped element-wise twist).
 	lm.m.VecMulModShoup(tmp, tmp, lm.tw, lm.twS)
 	// Step 3: Y = Ã @ T3.
 	matMulConstRight(lm.m, tmp, c, r, lm.t3, lm.t3S, r, out, ar)
-	p.ring.PutScratch(tb)
+	ar.put(tmp)
 }
 
 // InverseLimb inverts ForwardLimb: evaluation layout back to natural
@@ -250,15 +249,14 @@ func (p *MatNTTPlan) InverseLimb(i int, in, out []uint64) {
 	lm := p.limbs[i]
 	r, c := p.R, p.C
 	ar := p.ring.scratch
-	tb := p.ring.GetScratch()
-	tmp := (*tb)[:c*r]
+	tmp := ar.get()[:c*r]
 	// Step 1': U = Z @ T3inv.
 	matMulConstRight(lm.m, in, c, r, lm.t3Inv, lm.t3InvS, r, tmp, ar)
 	// Step 2': ⊙ TWinv.
 	lm.m.VecMulModShoup(tmp, tmp, lm.twInv, lm.twInvS)
 	// Step 3': X = T1inv @ Ũ.
 	matMulConstLeft(lm.m, lm.t1Inv, lm.t1InvS, c, c, tmp, r, out, ar)
-	p.ring.PutScratch(tb)
+	ar.put(tmp)
 }
 
 // Forward transforms every limb of p into the plan's layout,
@@ -285,8 +283,7 @@ func (p *MatNTTPlan) Forward4Step(i int, in, out []uint64) {
 		panic("ring: Forward4Step requires a LayoutDigitSwap plan")
 	}
 	r, c := p.R, p.C
-	yb := p.ring.GetScratch()
-	y := (*yb)[:c*r]
+	y := p.ring.GetScratch()[:c*r]
 	p.ForwardLimb(i, in, y)
 	// Explicit transpose: natural out[j1·C+j2] = Y[j2][j1].
 	for j2 := 0; j2 < c; j2++ {
@@ -294,7 +291,7 @@ func (p *MatNTTPlan) Forward4Step(i int, in, out []uint64) {
 			out[j1*c+j2] = y[j2*r+j1]
 		}
 	}
-	p.ring.PutScratch(yb)
+	p.ring.PutScratch(y)
 }
 
 // Inverse4Step inverts Forward4Step from natural order.
@@ -303,15 +300,14 @@ func (p *MatNTTPlan) Inverse4Step(i int, in, out []uint64) {
 		panic("ring: Inverse4Step requires a LayoutDigitSwap plan")
 	}
 	r, c := p.R, p.C
-	yb := p.ring.GetScratch()
-	y := (*yb)[:c*r]
+	y := p.ring.GetScratch()[:c*r]
 	for j2 := 0; j2 < c; j2++ {
 		for j1 := 0; j1 < r; j1++ {
 			y[j2*r+j1] = in[j1*c+j2]
 		}
 	}
 	p.InverseLimb(i, y, out)
-	p.ring.PutScratch(yb)
+	p.ring.PutScratch(y)
 }
 
 // lazyAccumBound reports how many [0,2q) terms can be summed in a uint64
@@ -324,24 +320,19 @@ func lazyAccumBound(q uint64) int {
 	return int(maxTerms)
 }
 
-// aliasScratch resolves the destination for an in-place matrix product:
-// when x and out share backing, the result is staged in an arena buffer
-// (or a fresh one if no arena fits) and copied out at the end.
-func aliasScratch(x, out []uint64, size int, ar *arena) (res []uint64, borrowed *[]uint64) {
+// aliasScratch resolves the destination for an in-place matrix product
+// of size ≤ N words: when x and out share backing, the result is staged
+// in a borrowed arena limb, to be copied out and returned at the end.
+func aliasScratch(x, out []uint64, size int, ar *arena) (res []uint64, borrowed bool) {
 	if !sameBacking(x, out) {
-		return out, nil
+		return out, false
 	}
-	if ar != nil && size <= ar.n {
-		b := ar.pool.Get().(*[]uint64)
-		return (*b)[:size], b
-	}
-	return make([]uint64, size), nil
+	return ar.get()[:size], true
 }
 
 // matMulConstLeft computes out = A @ X where A (rows×inner, with Shoup
 // table AS) is a compile-time constant and X is inner×cols runtime data.
-// All matrices are flat row-major. ar supplies aliasing scratch (nil
-// falls back to allocation).
+// All matrices are flat row-major. ar supplies aliasing scratch.
 func matMulConstLeft(m *modarith.Modulus, a, aS []uint64, rows, inner int, x []uint64, cols int, out []uint64, ar *arena) {
 	if lazyAccumBound(m.Q) < inner {
 		matMulConstLeftSafe(m, a, rows, inner, x, cols, out, ar)
@@ -359,11 +350,9 @@ func matMulConstLeft(m *modarith.Modulus, a, aS []uint64, rows, inner int, x []u
 			res[i*cols+j] = m.Reduce(acc)
 		}
 	}
-	if borrowed != nil || sameBacking(x, out) {
+	if borrowed {
 		copy(out, res)
-	}
-	if borrowed != nil && ar != nil {
-		ar.pool.Put(borrowed)
+		ar.put(res)
 	}
 }
 
@@ -380,11 +369,9 @@ func matMulConstLeftSafe(m *modarith.Modulus, a []uint64, rows, inner int, x []u
 			res[i*cols+j] = acc
 		}
 	}
-	if borrowed != nil || sameBacking(x, out) {
+	if borrowed {
 		copy(out, res)
-	}
-	if borrowed != nil && ar != nil {
-		ar.pool.Put(borrowed)
+		ar.put(res)
 	}
 }
 
@@ -410,11 +397,9 @@ func matMulConstRight(m *modarith.Modulus, x []uint64, rows, inner int, b, bS []
 			res[i*cols+j] = acc
 		}
 	}
-	if borrowed != nil || sameBacking(x, out) {
+	if borrowed {
 		copy(out, res)
-	}
-	if borrowed != nil && ar != nil {
-		ar.pool.Put(borrowed)
+		ar.put(res)
 	}
 }
 

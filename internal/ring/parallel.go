@@ -47,8 +47,8 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 func (r *Ring) ForLimbs(n int, f func(i int)) { parallelFor(r.Parallelism(), n, f) }
 
 // limbJob is the state one parallelFor call shares with its helpers.
-// Jobs are pooled, so a steady-state fan-out allocates nothing beyond
-// the caller's closure.
+// Jobs are reused through a free list, so a steady-state fan-out
+// allocates nothing beyond the caller's closure.
 type limbJob struct {
 	f    func(int)
 	n    int64
@@ -69,7 +69,7 @@ func (j *limbJob) run() {
 }
 
 var (
-	jobPool = sync.Pool{New: func() any { return new(limbJob) }}
+	jobs FreeList[*limbJob]
 	// jobQueue hands jobs to helper goroutines. A helper is started as
 	// `go helpJob()` — a static function, so the spawn needs no closure
 	// — and takes exactly one job; every send is paired with one spawn,
@@ -95,7 +95,10 @@ func parallelFor(workers, n int, f func(i int)) {
 		}
 		return
 	}
-	j := jobPool.Get().(*limbJob)
+	j, ok := jobs.Get()
+	if !ok {
+		j = new(limbJob)
+	}
 	j.f, j.n = f, int64(n)
 	j.next.Store(0)
 	j.wg.Add(workers - 1)
@@ -106,5 +109,5 @@ func parallelFor(workers, n int, f func(i int)) {
 	j.run()
 	j.wg.Wait()
 	j.f = nil
-	jobPool.Put(j)
+	jobs.Put(j)
 }

@@ -164,12 +164,9 @@ func TestWithParallelismClampsInvalid(t *testing.T) {
 
 // TestParallelForAllocs pins the fan-out's own heap cost: with a
 // closure allocated by the caller, a steady-state parallelFor adds no
-// allocation at any worker count (jobs are pooled, helpers are spawned
-// without a closure).
+// allocation at any worker count (jobs come from a free list, helpers
+// are spawned without a closure).
 func TestParallelForAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; pooled paths cannot hold 0 allocs/op")
-	}
 	hit := make([]int64, 16)
 	f := func(i int) { hit[i]++ }
 	for _, workers := range []int{1, 2, 4} {

@@ -30,8 +30,8 @@ type Ring struct {
 	// parallelism is the worker count for whole-polynomial transforms
 	// (0/1 = serial); set via WithParallelism, never mutated in place.
 	parallelism int
-	// scratch is the shared buffer arena + automorphism-table cache;
-	// held by pointer so AtLevel/WithParallelism views pool together.
+	// scratch is the shared limb arena + automorphism-table cache;
+	// held by pointer so AtLevel/WithParallelism views share its limbs.
 	scratch *arena
 }
 
@@ -49,7 +49,7 @@ func NewRing(n int, primes []uint64) (*Ring, error) {
 		N:       n,
 		Moduli:  moduli,
 		tables:  make([]*nttTable, len(moduli)),
-		scratch: newArena(n),
+		scratch: &arena{n: n},
 	}
 	for n>>r.LogN != 1 {
 		r.LogN++

@@ -37,23 +37,24 @@ type Converter struct {
 	// so the one-word Step2 may run as the AVX-512 multiply-accumulate.
 	narrow bool
 
-	// yPool recycles the step-1 intermediate limb matrix so the
-	// steady-state ConvertApproxInto path allocates nothing.
-	yPool sync.Pool // *limbScratch
+	// mu guards y, the Step 1 matrix that ConvertApproxInto and
+	// ConvertExact own for the whole call; it grows only when a call
+	// needs more coefficients than it holds, so the steady state
+	// allocates nothing.
+	mu sync.Mutex
+	y  [][]uint64
 }
 
-// limbScratch is a pooled [L][N] limb matrix with its backing array.
-type limbScratch struct {
-	rows [][]uint64
-	n    int
-}
-
-// getY borrows an l×n limb matrix (contents undefined).
-func (c *Converter) getY(l, n int) *limbScratch {
-	if s, ok := c.yPool.Get().(*limbScratch); ok && len(s.rows) == l && s.n == n {
-		return s
+// step1Matrix returns the converter's n-coefficient Step 1 matrix,
+// regrowing it only when too small. The caller must hold c.mu.
+func (c *Converter) step1Matrix(n int) [][]uint64 {
+	if len(c.y) == 0 || cap(c.y[0]) < n {
+		c.y = allocLimbs(c.From.L(), n)
 	}
-	return &limbScratch{rows: allocLimbs(l, n), n: n}
+	for i := range c.y {
+		c.y[i] = c.y[i][:n]
+	}
+	return c.y
 }
 
 // NewConverter precomputes the BConv constants between two bases. The
@@ -228,14 +229,15 @@ func (c *Converter) ConvertApprox(in [][]uint64) [][]uint64 {
 }
 
 // ConvertApproxInto is ConvertApprox with a caller-provided [L'][N]
-// destination; the step-1 intermediate comes from the converter's pool,
-// so the steady state allocates nothing.
+// destination; the step-1 intermediate is the converter's own, so the
+// steady state allocates nothing. Concurrent calls on one converter
+// run one at a time.
 func (c *Converter) ConvertApproxInto(out, in [][]uint64) {
-	n := len(in[0])
-	ys := c.getY(c.From.L(), n)
-	c.Step1(ys.rows, in)
-	c.Step2(out, ys.rows)
-	c.yPool.Put(ys)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	y := c.step1Matrix(len(in[0]))
+	c.Step1(y, in)
+	c.Step2(out, y)
 }
 
 // ConvertExact performs basis conversion with the HPS floating-point
@@ -247,12 +249,12 @@ func (c *Converter) ConvertApproxInto(out, in [][]uint64) {
 // sets of Tab. IV on random inputs, and checked by tests.
 func (c *Converter) ConvertExact(in [][]uint64) [][]uint64 {
 	n := len(in[0])
-	ys := c.getY(c.From.L(), n)
-	y := ys.rows
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	y := c.step1Matrix(n)
 	c.Step1(y, in)
 	out := allocLimbs(c.To.L(), n)
 	c.Step2(out, y)
-	defer c.yPool.Put(ys)
 
 	// Overflow estimate and correction.
 	for k := 0; k < n; k++ {

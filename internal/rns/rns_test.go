@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -181,6 +182,54 @@ func TestConvertApproxOverflowBounded(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("coeff %d: approx result not of the form x + e·Q for e < %d", k, bound)
+		}
+	}
+}
+
+// TestConvertApproxIntoZeroAllocs holds ConvertApproxInto to no
+// allocation once the converter's Step 1 matrix is sized: in the steady
+// state, on the first call after two collections, and after a larger
+// call (a shorter call reuses the matrix it grew), with results equal
+// to a fresh converter's.
+func TestConvertApproxIntoZeroAllocs(t *testing.T) {
+	from, to := testBases(t)
+	conv, err := NewConverter(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	const n = 64
+	in := AllocLimbs(from.L(), n)
+	for i, m := range from.Moduli {
+		for k := range in[i] {
+			in[i][k] = rng.Uint64() % m.Q
+		}
+	}
+	out := AllocLimbs(to.L(), n)
+	conv.ConvertApproxInto(AllocLimbs(to.L(), 2*n), AllocLimbs(from.L(), 2*n))
+	if avg := testing.AllocsPerRun(50, func() { conv.ConvertApproxInto(out, in) }); avg != 0 {
+		t.Fatalf("ConvertApproxInto allocates %.2f/op, want 0", avg)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as in AllocsPerRun
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conv.ConvertApproxInto(out, in)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("ConvertApproxInto allocates %d objects after two collections, want 0", n)
+	}
+	fresh, err := NewConverter(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.ConvertApprox(in)
+	for j := range want {
+		for k := range want[j] {
+			if out[j][k] != want[j][k] {
+				t.Fatalf("limb %d coeff %d: %d, want %d", j, k, out[j][k], want[j][k])
+			}
 		}
 	}
 }
