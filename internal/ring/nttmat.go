@@ -232,15 +232,15 @@ func (p *MatNTTPlan) InverseMatrices(i int) (t3Inv, twInv, t1Inv []uint64) {
 func (p *MatNTTPlan) ForwardLimb(i int, in, out []uint64) {
 	lm := p.limbs[i]
 	r, c := p.R, p.C
-	ar := p.ring.scratch
-	tmp := ar.get()[:c*r]
+	rg := p.ring
+	tmp := rg.GetScratch()[:c*r]
 	// Step 1: A = T1 @ X, X[cc][rr] = in[cc·R+rr].
-	matMulConstLeft(lm.m, lm.t1, lm.t1S, c, c, in, r, tmp, ar)
+	matMulConstLeft(lm.m, lm.t1, lm.t1S, c, c, in, r, tmp, rg)
 	// Step 2: A ⊙ TW (VPU-mapped element-wise twist).
 	lm.m.VecMulModShoup(tmp, tmp, lm.tw, lm.twS)
 	// Step 3: Y = Ã @ T3.
-	matMulConstRight(lm.m, tmp, c, r, lm.t3, lm.t3S, r, out, ar)
-	ar.put(tmp)
+	matMulConstRight(lm.m, tmp, c, r, lm.t3, lm.t3S, r, out, rg)
+	rg.PutScratch(tmp)
 }
 
 // InverseLimb inverts ForwardLimb: evaluation layout back to natural
@@ -248,15 +248,15 @@ func (p *MatNTTPlan) ForwardLimb(i int, in, out []uint64) {
 func (p *MatNTTPlan) InverseLimb(i int, in, out []uint64) {
 	lm := p.limbs[i]
 	r, c := p.R, p.C
-	ar := p.ring.scratch
-	tmp := ar.get()[:c*r]
+	rg := p.ring
+	tmp := rg.GetScratch()[:c*r]
 	// Step 1': U = Z @ T3inv.
-	matMulConstRight(lm.m, in, c, r, lm.t3Inv, lm.t3InvS, r, tmp, ar)
+	matMulConstRight(lm.m, in, c, r, lm.t3Inv, lm.t3InvS, r, tmp, rg)
 	// Step 2': ⊙ TWinv.
 	lm.m.VecMulModShoup(tmp, tmp, lm.twInv, lm.twInvS)
 	// Step 3': X = T1inv @ Ũ.
-	matMulConstLeft(lm.m, lm.t1Inv, lm.t1InvS, c, c, tmp, r, out, ar)
-	ar.put(tmp)
+	matMulConstLeft(lm.m, lm.t1Inv, lm.t1InvS, c, c, tmp, r, out, rg)
+	rg.PutScratch(tmp)
 }
 
 // Forward transforms every limb of p into the plan's layout,
@@ -323,22 +323,22 @@ func lazyAccumBound(q uint64) int {
 // aliasScratch resolves the destination for an in-place matrix product
 // of size ≤ N words: when x and out share backing, the result is staged
 // in a borrowed arena limb, to be copied out and returned at the end.
-func aliasScratch(x, out []uint64, size int, ar *arena) (res []uint64, borrowed bool) {
+func aliasScratch(x, out []uint64, size int, rg *Ring) (res []uint64, borrowed bool) {
 	if !sameBacking(x, out) {
 		return out, false
 	}
-	return ar.get()[:size], true
+	return rg.GetScratch()[:size], true
 }
 
 // matMulConstLeft computes out = A @ X where A (rows×inner, with Shoup
 // table AS) is a compile-time constant and X is inner×cols runtime data.
-// All matrices are flat row-major. ar supplies aliasing scratch.
-func matMulConstLeft(m *modarith.Modulus, a, aS []uint64, rows, inner int, x []uint64, cols int, out []uint64, ar *arena) {
+// All matrices are flat row-major. rg's arena supplies aliasing scratch.
+func matMulConstLeft(m *modarith.Modulus, a, aS []uint64, rows, inner int, x []uint64, cols int, out []uint64, rg *Ring) {
 	if lazyAccumBound(m.Q) < inner {
-		matMulConstLeftSafe(m, a, rows, inner, x, cols, out, ar)
+		matMulConstLeftSafe(m, a, rows, inner, x, cols, out, rg)
 		return
 	}
-	res, borrowed := aliasScratch(x, out, rows*cols, ar)
+	res, borrowed := aliasScratch(x, out, rows*cols, rg)
 	for i := 0; i < rows; i++ {
 		arow := a[i*inner : (i+1)*inner]
 		asrow := aS[i*inner : (i+1)*inner]
@@ -352,14 +352,14 @@ func matMulConstLeft(m *modarith.Modulus, a, aS []uint64, rows, inner int, x []u
 	}
 	if borrowed {
 		copy(out, res)
-		ar.put(res)
+		rg.PutScratch(res)
 	}
 }
 
 // matMulConstLeftSafe is the wide-modulus fallback with per-term
 // reduction.
-func matMulConstLeftSafe(m *modarith.Modulus, a []uint64, rows, inner int, x []uint64, cols int, out []uint64, ar *arena) {
-	res, borrowed := aliasScratch(x, out, rows*cols, ar)
+func matMulConstLeftSafe(m *modarith.Modulus, a []uint64, rows, inner int, x []uint64, cols int, out []uint64, rg *Ring) {
+	res, borrowed := aliasScratch(x, out, rows*cols, rg)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			var acc uint64
@@ -371,15 +371,15 @@ func matMulConstLeftSafe(m *modarith.Modulus, a []uint64, rows, inner int, x []u
 	}
 	if borrowed {
 		copy(out, res)
-		ar.put(res)
+		rg.PutScratch(res)
 	}
 }
 
 // matMulConstRight computes out = X @ B where B (inner×cols, with Shoup
 // table BS) is a compile-time constant and X is rows×inner runtime data.
-func matMulConstRight(m *modarith.Modulus, x []uint64, rows, inner int, b, bS []uint64, cols int, out []uint64, ar *arena) {
+func matMulConstRight(m *modarith.Modulus, x []uint64, rows, inner int, b, bS []uint64, cols int, out []uint64, rg *Ring) {
 	safe := lazyAccumBound(m.Q) < inner
-	res, borrowed := aliasScratch(x, out, rows*cols, ar)
+	res, borrowed := aliasScratch(x, out, rows*cols, rg)
 	for i := 0; i < rows; i++ {
 		xrow := x[i*inner : (i+1)*inner]
 		for j := 0; j < cols; j++ {
@@ -399,7 +399,7 @@ func matMulConstRight(m *modarith.Modulus, x []uint64, rows, inner int, b, bS []
 	}
 	if borrowed {
 		copy(out, res)
-		ar.put(res)
+		rg.PutScratch(res)
 	}
 }
 

@@ -53,22 +53,18 @@ type arena struct {
 	auto sync.Map // galois element (uint64) → []int slot table
 }
 
-func (a *arena) get() []uint64 {
-	if b, ok := a.free.Get(); ok {
-		return b
-	}
-	return make([]uint64, a.n)
-}
-
-func (a *arena) put(b []uint64) { a.free.Put(b[:a.n]) }
-
 // GetScratch borrows an N-word limb from the ring's arena. Its contents
 // are undefined; return it with PutScratch.
-func (r *Ring) GetScratch() []uint64 { return r.scratch.get() }
+func (r *Ring) GetScratch() []uint64 {
+	if b, ok := r.scratch.free.Get(); ok {
+		return b
+	}
+	return make([]uint64, r.scratch.n)
+}
 
 // PutScratch returns a limb borrowed with GetScratch (or a prefix of
 // one) to the arena.
-func (r *Ring) PutScratch(b []uint64) { r.scratch.put(b) }
+func (r *Ring) PutScratch(b []uint64) { r.scratch.free.Put(b[:r.scratch.n]) }
 
 // BorrowPoly sets p to `limbs` arena limbs, reusing p's Coeffs header,
 // so a Poly kept in a long-lived field costs no allocation per borrow.
@@ -76,14 +72,14 @@ func (r *Ring) PutScratch(b []uint64) { r.scratch.put(b) }
 func (r *Ring) BorrowPoly(p *Poly, limbs int) {
 	p.Coeffs = p.Coeffs[:0]
 	for range limbs {
-		p.Coeffs = append(p.Coeffs, r.scratch.get())
+		p.Coeffs = append(p.Coeffs, r.GetScratch())
 	}
 }
 
 // ReturnPoly returns the limbs BorrowPoly lent p and empties p.
 func (r *Ring) ReturnPoly(p *Poly) {
 	for i, b := range p.Coeffs {
-		r.scratch.put(b)
+		r.PutScratch(b)
 		p.Coeffs[i] = nil
 	}
 	p.Coeffs = p.Coeffs[:0]
